@@ -1,9 +1,11 @@
 """ARIMA parameter estimation and the filtering machinery built on it.
 
 AR models are estimated by ordinary least squares on lagged regressors;
-mixed ARMA models by minimizing the conditional sum of squares with a
-derivative-free simplex search. Both report two variance estimates that
-must not be conflated:
+models with an MA part by minimizing the conditional sum of squares with
+a Levenberg-Marquardt least-squares solve over the partial
+autocorrelations of phi and theta, with standard errors from the
+analytic Jacobian of the residuals. Both report two variance estimates
+that must not be conflated:
 
 * ``sigma2`` -- mean squared residual with denominator equal to the
   residual count (the innovation-variance convention used by the outlier
@@ -133,19 +135,15 @@ class PiWeights:
 
 
 def _poly_min_root_modulus(coeffs) -> float:
-    """Smallest root modulus of 1 - c_1 z - ... - c_k z^k (inf if degree 0)."""
+    """Smallest root modulus of 1 - c_1 z - ... - c_k z^k (inf if degree 0).
+
+    Solved as the reciprocal of the largest root of the monic reversed
+    polynomial z^k - c_1 z^(k-1) - ... - c_k, whose companion matrix stays
+    well scaled however small c_k is.
+    """
     c = np.asarray(coeffs, dtype=float)
-    # degrees with negligible weight put roots far beyond any unit-circle
-    # question and can overflow the companion eigensolve; drop them
-    while c.size and abs(c[-1]) < 1e-280:
-        c = c[:-1]
-    if c.size == 0:
-        return math.inf
-    poly = np.concatenate([[1.0], -c])  # ascending powers
-    roots = np.roots(poly[::-1])
-    if roots.size == 0:
-        return math.inf
-    return float(np.min(np.abs(roots)))
+    top = float(np.max(np.abs(np.roots(np.concatenate([[1.0], -c]))))) if c.size else 0.0
+    return math.inf if top == 0.0 else 1.0 / top
 
 
 def min_ar_root_modulus(phi) -> float:
@@ -249,32 +247,57 @@ def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> Arima
     )
 
 
+def _step_up(phi: np.ndarray, r: float) -> np.ndarray:
+    """One Levinson step: order-(k+1) lag coefficients from order k and the next PACF r."""
+    return np.append(phi - r * phi[::-1], r)
+
+
+def _levinson(series: TimeSeries, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Yule-Walker coefficients and partial autocorrelations up to order p."""
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    if p >= series.n:
+        raise ValueError("p must be smaller than the series length")
+    rho = acf(series, p)
+    phi = np.zeros(0)
+    pacf = np.empty(p)
+    v = 1.0
+    for k in range(1, p + 1):
+        if not np.isfinite(v) or abs(v) < 1e-300:
+            raise SingularError(f"Yule-Walker recursion broke down at order {k}")
+        pacf[k - 1] = (rho[k] - float(np.dot(phi, rho[k - 1:0:-1]))) / v
+        phi = _step_up(phi, pacf[k - 1])
+        v *= 1.0 - pacf[k - 1] ** 2
+    if not np.all(np.isfinite(phi)):
+        raise SingularError("Yule-Walker solution is not finite")
+    return phi, pacf
+
+
 def yule_walker(series: TimeSeries, p: int) -> np.ndarray:
     """Order-p Yule-Walker AR coefficients from sample autocorrelations.
 
     Solved by the Levinson recursion; raises :class:`SingularError` when
     the recursion breaks down.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if p >= series.n:
-        raise ValueError("p must be smaller than the series length")
-    rho = acf(series, p)
-    phi = np.array([rho[1]])
-    v = 1.0 - rho[1] ** 2
-    for k in range(2, p + 1):
-        if not np.isfinite(v) or abs(v) < 1e-300:
-            raise SingularError(f"Yule-Walker recursion broke down at order {k}")
-        num = rho[k] - float(np.dot(phi, rho[k - 1:0:-1]))
-        phi_kk = num / v
-        nxt = np.empty(k)
-        nxt[:-1] = phi - phi_kk * phi[::-1]
-        nxt[-1] = phi_kk
-        v *= 1.0 - phi_kk ** 2
-        phi = nxt
-    if not np.all(np.isfinite(phi)):
-        raise SingularError("Yule-Walker solution is not finite")
-    return phi
+    return _levinson(series, p)[0]
+
+
+def _from_pacf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag coefficients whose partial autocorrelations are tanh(z), and d coef / d z.
+
+    Every |tanh(z_k)| < 1, so 1 - c_1 B - ... has all its roots outside the
+    unit circle (Monahan 1984). The step-up is linear in the previous
+    coefficients, so their derivative columns step up with a zero last entry.
+    """
+    r = np.tanh(z)
+    coef = np.zeros(0)
+    jac = np.zeros((r.size, r.size))
+    for k, rk in enumerate(r):
+        jac[:k, :k] -= rk * jac[:k, :k][::-1]
+        jac[:k, k] = -coef[::-1]
+        jac[k, k] = 1.0
+        coef = _step_up(coef, rk)
+    return coef, jac * (1.0 - r * r)
 
 
 def _css_residuals(w: np.ndarray, mean: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -295,31 +318,20 @@ def _css_residuals(w: np.ndarray, mean: float, phi: np.ndarray, theta: np.ndarra
     return signal.lfilter([1.0], np.concatenate([[1.0], -theta]), u)
 
 
-def _css_residuals_from_packed(params: np.ndarray, w: np.ndarray, p: int, q: int,
-                               with_intercept: bool) -> np.ndarray:
-    k = 1 if with_intercept else 0
-    mean = params[0] if with_intercept else 0.0
-    phi = params[k:k + p]
-    theta = params[k + p:]
-    return _css_residuals(w, mean, phi, theta)
+def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
+                  theta: np.ndarray, with_intercept: bool) -> np.ndarray:
+    """d a / d (mean, phi, theta) by the derivative filters of BJR ch. 7.
 
-
-def _css_objective(params: np.ndarray, w: np.ndarray, p: int, q: int, with_intercept: bool) -> float:
-    a = _css_residuals_from_packed(params, w, p, q, with_intercept)
-    sse = float(a @ a)
-    return sse if math.isfinite(sse) else math.inf
-
-
-def _perturbed(start: np.ndarray, r: int) -> np.ndarray:
-    """Deterministic +/-10% (or +/-0.05 for zeros) restart perturbation."""
-    out = start.copy()
-    for i in range(out.size):
-        sign = 1.0 if (i + r) % 2 == 0 else -1.0
-        if out[i] == 0.0:
-            out[i] = sign * 0.05
-        else:
-            out[i] *= 1.0 + sign * 0.10
-    return out
+    The mean and phi_i columns are the constant -(1 - sum phi) and the
+    lagged, centred series -w_{t-i}, the theta_j columns the residuals
+    shifted by j; each passed through 1 / theta(B) with zero initial state.
+    """
+    p, n = phi.size, a.size
+    wt = w - mean
+    cols = [np.full(n, phi.sum() - 1.0)] if with_intercept else []
+    cols += [-wt[p - i:wt.size - i] for i in range(1, p + 1)]
+    cols += [np.concatenate([np.zeros(j), a[:n - j]]) for j in range(1, theta.size + 1)]
+    return signal.lfilter([1.0], np.concatenate([[1.0], -theta]), np.column_stack(cols), axis=0)
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
@@ -327,10 +339,17 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
 
     The d-fold difference is taken first. The objective sums squared
     shocks reconstructed recursively with zero pre-sample shocks,
-    conditioning on the first p differenced observations. Minimization
-    uses a Nelder-Mead simplex from a Yule-Walker start (zeros for the MA
-    part) plus three deterministically perturbed restarts; the best end
-    point, or the best start if no run improved on it, is returned.
+    conditioning on the first p differenced observations. It is minimized
+    by Levenberg-Marquardt least squares with the analytic Jacobian of
+    the residual vector. phi and theta are each parametrized by the
+    arctanh of their partial autocorrelations, so every iterate is
+    stationary and invertible; a fit that would leave that region stops
+    on its boundary (and warns). The solve starts from the Yule-Walker
+    estimate for phi (zeros if it breaks down) and zeros for theta; models
+    with both an AR and an MA part also start from MA partial
+    autocorrelations of +/-0.5 and keep the lowest sum of squares.
+    Standard errors come from the same Jacobian at the optimum, taken in
+    the reported (intercept, phi, theta) coordinates.
     """
     p, d, q = order.p, order.d, order.q
     if p + q < 1:
@@ -339,101 +358,70 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         raise LengthError(f"need more than {3 * (p + q) + 5 + d} observations for this order")
     w = difference(series, d)
     wv = w.values
-    mean0 = float(wv.mean()) if with_intercept else 0.0
+    k = 1 if with_intercept else 0
+    pacf0 = np.zeros(p)
     if p > 0:
         try:
-            phi0 = yule_walker(w, p)
+            pacf0 = np.clip(_levinson(w, p)[1], -0.99, 0.99)  # off the flat ends of tanh
         except (SingularError, DegenerateError):
-            phi0 = np.zeros(p)
-        if min_ar_root_modulus(phi0) <= 1.0 + 1e-6:
-            phi0 = phi0 * 0.95 / np.max(np.abs(phi0))
-    else:
-        phi0 = np.zeros(0)
-    start = np.concatenate([[mean0] if with_intercept else [], phi0, np.zeros(q)])
+            pass
+    head = np.concatenate([[wv.mean()] if with_intercept else [], np.arctanh(pacf0)])
+    n_par = head.size + q
 
-    args = (wv, p, q, with_intercept)
-    maxfev = 500 * (p + q)
-    f_start = _css_objective(start, *args)
-    f_scale = f_start if math.isfinite(f_start) else 1.0
-    candidates = [(f_start, start)]
-    for r in range(4):  # base run plus 3 perturbed restarts
-        x0 = start if r == 0 else _perturbed(start, r)
-        res = optimize.minimize(
-            _css_objective,
-            x0,
-            args=args,
-            method="Nelder-Mead",
-            options={
-                "maxfev": maxfev,
-                "xatol": 1e-9,
-                "fatol": 1e-10 * max(1.0, f_scale),
-            },
-        )
-        candidates.append((float(res.fun), np.asarray(res.x, dtype=float)))
-    best_f, best_x = min(candidates, key=lambda c: c[0])
-    if not math.isfinite(best_f):
-        raise ConvergenceError("conditional sum of squares did not attain a finite value")
+    def unpack(x):
+        phi, dphi = _from_pacf(x[k:k + p])
+        theta, dtheta = _from_pacf(x[k + p:])
+        return (x[0] if with_intercept else 0.0), phi, dphi, theta, dtheta
 
-    a = _css_residuals_from_packed(best_x, *args)
+    def resid(x):
+        mean, phi, _, theta, _ = unpack(x)
+        return _css_residuals(wv, mean, phi, theta)
+
+    def jac(x):
+        mean, phi, dphi, theta, dtheta = unpack(x)
+        J = _css_jacobian(wv, _css_residuals(wv, mean, phi, theta), mean, phi, theta, with_intercept)
+        J[:, k:k + p] = J[:, k:k + p] @ dphi
+        J[:, k + p:] = J[:, k + p:] @ dtheta
+        return J
+
+    # a mixed model's CSS surface can have a second basin across the phi = theta
+    # cancellation ridge, so the MA partial autocorrelations start at 0 and +/-0.5
+    ma_starts = (0.0, 0.5, -0.5) if p and q else (0.0,)
+    res = min((optimize.least_squares(resid, np.append(head, np.full(q, np.arctanh(r0))), jac=jac,
+                                      method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10)
+               for r0 in ma_starts), key=lambda r: r.cost)
+    a = res.fun
     sse = float(a @ a)
-    n_res = a.size
-    n_par = best_x.size
-    if n_res <= n_par:
-        raise LengthError("too few residuals for the parameter count")
-    mse = sse / (n_res - n_par)
-    sigma2 = sse / n_res
-
-    k = 1 if with_intercept else 0
-    phi = tuple(float(v) for v in best_x[k:k + p])
-    theta = tuple(float(v) for v in best_x[k + p:])
-    mean = float(best_x[0]) if with_intercept else 0.0
+    if res.status <= 0 or not math.isfinite(sse):
+        raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
+    mse = sse / (a.size - n_par)  # the length check leaves more than n_par residuals
+    mean, phi_v, _, theta_v, _ = unpack(res.x)
+    phi = tuple(float(v) for v in phi_v)
+    theta = tuple(float(v) for v in theta_v)
     intercept = mean * (1.0 - sum(phi)) if with_intercept else 0.0
 
-    std = _css_std_errors(best_x, a, mse, *args)
-    residuals = TimeSeries(a, start_index=w.start_index + p)
+    # report in intercept form: mean = c / (1 - sum phi), and 1 - sum phi > 0 when stationary
+    J = _css_jacobian(wv, a, mean, phi_v, theta_v, with_intercept)
+    if with_intercept:
+        J[:, 0] /= 1.0 - phi_v.sum()
+        J[:, 1:1 + p] += J[:, :1] * mean
+    try:
+        cov = mse * np.linalg.inv(J.T @ J)
+        std = tuple(float(s) for s in np.sqrt(np.clip(np.diag(cov), 0.0, None)))
+    except np.linalg.LinAlgError:
+        std = tuple(float("nan") for _ in range(n_par))
     _warn_on_roots(phi, theta)
     return ArimaFit(
         order=order,
         phi=phi,
         theta=theta,
         intercept=float(intercept),
-        sigma2=float(sigma2),
-        residuals=residuals,
+        sigma2=sse / a.size,
+        residuals=TimeSeries(a, start_index=w.start_index + p),
         coefficient_std_errors=std,
         sse=sse,
         mse=float(mse),
     )
-
-
-def _css_std_errors(best_x: np.ndarray, a: np.ndarray, mse: float, wv: np.ndarray,
-                    p: int, q: int, with_intercept: bool) -> tuple:
-    """Numerical-Jacobian standard errors in the (intercept, phi, theta) space."""
-    k = 1 if with_intercept else 0
-    phi_sum = float(np.sum(best_x[k:k + p]))
-
-    def residuals_at(coef: np.ndarray) -> np.ndarray:
-        packed = coef.copy()
-        if with_intercept:
-            denom = 1.0 - float(np.sum(coef[k:k + p]))
-            packed[0] = coef[0] / denom if abs(denom) > 1e-12 else 0.0
-        return _css_residuals_from_packed(packed, wv, p, q, with_intercept)
-
-    coef0 = best_x.copy()
-    if with_intercept:
-        coef0[0] = best_x[0] * (1.0 - phi_sum)  # report in intercept form
-    h = 1e-5
-    cols = []
-    for j in range(coef0.size):
-        cp = coef0.copy()
-        cp[j] += h
-        cols.append((residuals_at(cp) - a) / h)
-    J = np.column_stack(cols)
-    try:
-        cov = mse * np.linalg.inv(J.T @ J)
-        diag = np.clip(np.diag(cov), 0.0, None)
-        return tuple(float(s) for s in np.sqrt(diag))
-    except np.linalg.LinAlgError:
-        return tuple(float("nan") for _ in range(coef0.size))
 
 
 def fit_arima(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:

@@ -43,6 +43,7 @@ from .estimation import (
     filter_residuals,
     ols,
     pi_weights,
+    sigma_hat,
 )
 from .series import TimeSeries
 
@@ -318,7 +319,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     iterations = 0
 
     while iterations < config.max_iterations:
-        sig2 = float(e.values @ e.values) / e.n
+        sig2 = sigma_hat(e)
         if sig2 <= 0.0:
             terminated = "no_candidate"
             break

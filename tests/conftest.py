@@ -5,11 +5,16 @@ so tests can cross-check the library's linear algebra against an
 unrelated code path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import optimize
 
-from aoarima import ArimaFit, ArimaOrder, TimeSeries
+from aoarima import ArimaFit, ArimaOrder, TimeSeries, difference, yule_walker
+from aoarima.errors import DegenerateError, SingularError
+from aoarima.estimation import _css_residuals, min_ar_root_modulus
 
 # keep property tests reproducible run to run
 settings.register_profile("repo", derandomize=True)
@@ -59,6 +64,48 @@ def normal_equations_ols(X, y):
     X = np.asarray(X, float)
     y = np.asarray(y, float)
     return gauss_solve(X.T @ X, X.T @ y)
+
+
+def css_nelder_mead(series, order, with_intercept=True):
+    """Reference CSS fit: four Nelder-Mead searches over (mean, phi, theta).
+
+    The estimator the library used before its least-squares solve: a
+    Yule-Walker start (zeros for the MA part) plus three deterministic
+    +/-10% restarts, unconstrained, so its optimum may be non-invertible.
+    Returns (sse, mean, phi, theta) of the best end point or start.
+    """
+    p, q = order.p, order.q
+    k = 1 if with_intercept else 0
+    wv = difference(series, order.d).values
+
+    def objective(x):
+        a = _css_residuals(wv, x[0] if with_intercept else 0.0, x[k:k + p], x[k + p:])
+        sse = float(a @ a)
+        return sse if math.isfinite(sse) else math.inf
+
+    phi0 = np.zeros(p)
+    if p > 0:
+        try:
+            phi0 = yule_walker(TimeSeries(wv), p)
+        except (SingularError, DegenerateError):
+            pass
+        if min_ar_root_modulus(phi0) <= 1.0 + 1e-6:
+            phi0 = phi0 * 0.95 / np.max(np.abs(phi0))
+    start = np.concatenate([[wv.mean()] if with_intercept else [], phi0, np.zeros(q)])
+    f_start = objective(start)
+    f_scale = f_start if math.isfinite(f_start) else 1.0
+    candidates = [(f_start, start)]
+    for r in range(4):
+        x0 = start.copy()
+        if r > 0:
+            for i in range(x0.size):
+                sign = 1.0 if (i + r) % 2 == 0 else -1.0
+                x0[i] = sign * 0.05 if x0[i] == 0.0 else x0[i] * (1.0 + sign * 0.10)
+        res = optimize.minimize(objective, x0, method="Nelder-Mead", options={
+            "maxfev": 500 * (p + q), "xatol": 1e-9, "fatol": 1e-10 * max(1.0, f_scale)})
+        candidates.append((float(res.fun), np.asarray(res.x, dtype=float)))
+    sse, x = min(candidates, key=lambda c: c[0])
+    return sse, (float(x[0]) if with_intercept else 0.0), x[k:k + p], x[k + p:]
 
 
 @pytest.fixture

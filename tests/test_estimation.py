@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from aoarima import (
     ArimaOrder,
+    ConvergenceError,
     LengthError,
+    NonInvertibleWarning,
     RankError,
     SingularError,
     TimeSeries,
@@ -21,11 +23,16 @@ from aoarima import (
     sigma_hat,
     yule_walker,
 )
-from aoarima import acf
-from aoarima.estimation import _css_residuals
+from aoarima import acf, demo_dataset, estimation
+from aoarima.estimation import (
+    _css_residuals,
+    _from_pacf,
+    min_ar_root_modulus,
+    min_ma_root_modulus,
+)
 from aoarima.simulate import SimSpec, simulate
 
-from conftest import make_fit, normal_equations_ols
+from conftest import css_nelder_mead, make_fit, normal_equations_ols
 
 
 class TestOls:
@@ -193,11 +200,84 @@ class TestFitArmaCss:
         assert abs(fit.phi[0] - 0.5) < 0.1
         assert fit.order.d == 1
 
+    # seeds 1093 and 1044 hold a lower basin that a single Yule-Walker start misses
+    @pytest.mark.parametrize("p, d, q, phi, theta, extra_seed", [
+        (1, 0, 1, (0.5,), (0.3,), 1093),
+        (1, 1, 1, (0.5,), (-0.4,), 1005),
+        (0, 0, 1, (), (0.6,), 1005),
+        (2, 0, 1, (0.5, -0.3), (0.4,), 1044),
+    ])
+    def test_sse_not_above_nelder_mead_oracle(self, p, d, q, phi, theta, extra_seed):
+        order = ArimaOrder(p, d, q)
+        compared = 0
+        for s in (1000, 1001, 1002, 1003, 1004, extra_seed):
+            y = simulate(SimSpec(order=order, n=200, seed=s, phi=phi, theta=theta))
+            fit = fit_arma_css(y, order, with_intercept=True)
+            sse, _, phi_o, theta_o = css_nelder_mead(y, order, with_intercept=True)
+            if min_ar_root_modulus(phi_o) > 1 + 1e-6 and min_ma_root_modulus(theta_o) > 1 + 1e-6:
+                compared += 1
+                assert fit.sse <= sse * (1 + 1e-8)
+        assert compared >= 4
+
+    def test_solver_failure_raises_convergence_error(self, monkeypatch):
+        real = estimation.optimize.least_squares
+        monkeypatch.setattr(estimation.optimize, "least_squares",
+                            lambda *args, **kw: real(*args, **{**kw, "max_nfev": 1}))
+        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=3, phi=(0.5,), theta=(0.3,)))
+        with pytest.raises(ConvergenceError):
+            fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+
+    def test_non_invertible_optimum_stops_on_boundary(self):
+        # the unconstrained optimum has theta = 1.0603 (MA root modulus 0.943)
+        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=2, phi=(0.5,), theta=(0.6,)))
+        with pytest.warns(NonInvertibleWarning):
+            fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+        assert min_ma_root_modulus(fit.theta) >= 1.0
+        assert fit.theta[0] > 1.0 - 1e-6
+
+    def test_std_errors_match_finite_difference_jacobian(self):
+        y, _, _ = demo_dataset()
+        fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+        coef = np.array([fit.intercept, *fit.phi, *fit.theta])
+
+        def resid(c):
+            return _css_residuals(y.values, c[0] / (1.0 - c[1]), c[1:2], c[2:])
+
+        h = 1e-6
+        J = np.column_stack([(resid(coef + h * e) - resid(coef - h * e)) / (2 * h) for e in np.eye(3)])
+        std = np.sqrt(np.diag(fit.mse * np.linalg.inv(J.T @ J)))
+        assert np.allclose(fit.coefficient_std_errors, std, rtol=1e-4, atol=0.0)
+        assert np.allclose(fit.coefficient_std_errors, (0.05104, 0.14402, 0.17939), rtol=1e-3)
+
+    @given(z=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_pacf_map_is_stationary_with_exact_jacobian(self, z):
+        z = np.asarray(z)
+        coef, jac = _from_pacf(z)
+        assert min_ar_root_modulus(coef) > 1.0
+        h = 1e-6
+        fd = np.column_stack([(_from_pacf(z + h * e)[0] - _from_pacf(z - h * e)[0]) / (2 * h)
+                              for e in np.eye(z.size)])
+        assert np.max(np.abs(jac - fd)) < 1e-6
+
     def test_dispatcher_routes_orders(self):
         y = simulate(SimSpec(order=ArimaOrder(1, 0, 0), n=400, seed=31, phi=(0.5,)))
         assert fit_arima(y, ArimaOrder(1, 0, 0)).theta == ()
         mixed = fit_arima(y, ArimaOrder(1, 0, 1))
         assert len(mixed.theta) == 1
+
+
+class TestRootModulus:
+    def test_negligible_top_coefficient_keeps_the_other_roots(self):
+        # 1 - 0.3 z - 0.5 z^2 has its smallest root at (sqrt(2.09) - 0.3) / 1.0
+        expected = math.sqrt(2.09) - 0.3
+        assert min_ar_root_modulus([0.3, 0.5, 1e-100]) == pytest.approx(expected, rel=1e-12)
+        assert min_ma_root_modulus([0.3, 0.5, 5e-320]) == pytest.approx(expected, rel=1e-12)
+
+    def test_degree_zero_and_zero_coefficients(self):
+        assert min_ar_root_modulus([]) == math.inf
+        assert min_ar_root_modulus([0.0, 0.0]) == math.inf
+        assert min_ma_root_modulus([2.0]) == 0.5
 
 
 class TestPiWeights:
