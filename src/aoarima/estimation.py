@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import linalg, optimize, signal  # scipy.optimize loads scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -132,6 +132,16 @@ class PiWeights:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        # built once for all scans: pi(B) cut after its last non-zero term,
+        # and the partial sums 0, pi_1^2, pi_1^2 + pi_2^2, ...
+        k = int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0
+        object.__setattr__(self, "_poly", np.concatenate([[1.0], -w[:k]]))
+        object.__setattr__(self, "_cum_sq", np.concatenate([[0.0], np.cumsum(w * w)]))
+
+
+def _lag_poly(coeffs) -> np.ndarray:
+    """1, -c_1, ..., -c_k: the coefficients of the lag polynomial 1 - c_1 B - ... - c_k B^k."""
+    return np.concatenate([[1.0], -np.asarray(coeffs, dtype=float)])
 
 
 def _poly_min_root_modulus(coeffs) -> float:
@@ -142,7 +152,7 @@ def _poly_min_root_modulus(coeffs) -> float:
     well scaled however small c_k is.
     """
     c = np.asarray(coeffs, dtype=float)
-    top = float(np.max(np.abs(np.roots(np.concatenate([[1.0], -c]))))) if c.size else 0.0
+    top = float(np.max(np.abs(np.roots(_lag_poly(c))))) if c.size else 0.0
     return math.inf if top == 0.0 else 1.0 / top
 
 
@@ -171,9 +181,19 @@ def _warn_on_roots(phi, theta) -> None:
         )
 
 
+def _warn_if_not_invertible(theta) -> None:
+    if min_ma_root_modulus(theta) <= 1.0 + _ROOT_TOL:
+        warnings.warn("MA polynomial is not invertible; the weight expansion may diverge",
+                      NonInvertibleWarning, stacklevel=3)
+
+
 def ols(X: np.ndarray, y) -> OlsResult:
     """Least squares fit of y on the columns of X.
 
+    One Householder QR of [X | y] (LAPACK dgeqrf in place, no explicit Q)
+    that keeps only R, whose last column is Q^T y: beta solves
+    R beta = (Q^T y)[:cols], the residual sum of squares is the squared
+    bottom corner, and :func:`_prefix_sse` reads that column.
     Raises :class:`RankError` when the system is underdetermined or the
     design is rank deficient (pivot ratio below 1e-10).
     """
@@ -186,28 +206,42 @@ def ols(X: np.ndarray, y) -> OlsResult:
         raise ValueError("y length must match the row count of X")
     if rows <= cols:
         raise RankError(f"underdetermined system: {rows} rows for {cols} coefficients")
-    q, r = np.linalg.qr(X)
-    pivots = np.abs(np.diag(r))
+    xy = np.empty((rows, cols + 1), order="F")  # LAPACK's layout: factored in place, no copies
+    xy[:, :cols], xy[:, cols] = X, y
+    r = np.triu(linalg.lapack.dgeqrf(xy, overwrite_a=True)[0][:cols + 1])
+    pivots = np.abs(np.diag(r)[:cols])
     if pivots.size == 0 or pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0:
         raise RankError("design matrix is rank deficient")
-    beta = np.linalg.solve(r, q.T @ y)
+    qty = r[:, cols]
+    r = r[:cols, :cols]
+    beta = np.linalg.solve(r, qty[:cols])
     fitted = X @ beta
-    resid = y - fitted
-    sse = float(resid @ resid)
+    sse = float(qty[cols] ** 2)
     df = rows - cols
     mse = sse / df
     rinv = np.linalg.solve(r, np.eye(cols))
     xtx_inv_diag = np.sum(rinv * rinv, axis=1)
     std = np.sqrt(mse * xtx_inv_diag)
-    return OlsResult(
+    res = OlsResult(
         coefficients=tuple(float(b) for b in beta),
         sse=sse,
         mse=mse,
         std_errors=tuple(float(s) for s in std),
         fitted=fitted,
-        residuals=resid,
+        residuals=y - fitted,
         df_residual=df,
     )
+    object.__setattr__(res, "_qty", qty)  # not a field: equality and repr ignore it
+    return res
+
+
+def _prefix_sse(res: OlsResult) -> np.ndarray:
+    """Residual sums of squares of the fits on the first c columns of the design, c = 0..cols.
+
+    Dropping trailing columns moves their (Q^T y)_i^2 into the residual, so
+    entry c sums the squares from position c down; the last is ``res.sse``.
+    """
+    return np.cumsum(res._qty[::-1] ** 2)[::-1]
 
 
 def _lagged_design(x: np.ndarray, p: int, with_intercept: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +349,7 @@ def _css_residuals(w: np.ndarray, mean: float, phi: np.ndarray, theta: np.ndarra
     if q == 0:
         return u
     # a_t = u_t + theta_1 a_{t-1} + ... + theta_q a_{t-q}, zero initial state
-    return signal.lfilter([1.0], np.concatenate([[1.0], -theta]), u)
+    return signal.lfilter([1.0], _lag_poly(theta), u)
 
 
 def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
@@ -331,7 +365,7 @@ def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
     cols = [np.full(n, phi.sum() - 1.0)] if with_intercept else []
     cols += [-wt[p - i:wt.size - i] for i in range(1, p + 1)]
     cols += [np.concatenate([np.zeros(j), a[:n - j]]) for j in range(1, theta.size + 1)]
-    return signal.lfilter([1.0], np.concatenate([[1.0], -theta]), np.column_stack(cols), axis=0)
+    return signal.lfilter([1.0], _lag_poly(theta), np.column_stack(cols), axis=0)
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
@@ -373,13 +407,18 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         theta, dtheta = _from_pacf(x[k + p:])
         return (x[0] if with_intercept else 0.0), phi, dphi, theta, dtheta
 
+    last = [None, None, None]  # x, unpack(x) and residuals of the latest resid call
+
     def resid(x):
-        mean, phi, _, theta, _ = unpack(x)
-        return _css_residuals(wv, mean, phi, theta)
+        u = unpack(x)
+        last[:] = x.copy(), u, _css_residuals(wv, u[0], u[1], u[3])
+        return last[2]
 
     def jac(x):
-        mean, phi, dphi, theta, dtheta = unpack(x)
-        J = _css_jacobian(wv, _css_residuals(wv, mean, phi, theta), mean, phi, theta, with_intercept)
+        if not np.array_equal(x, last[0]):  # the solver mostly asks at its latest residual point
+            resid(x)
+        (mean, phi, dphi, theta, dtheta), a = last[1:]
+        J = _css_jacobian(wv, a, mean, phi, theta, with_intercept)
         J[:, k:k + p] = J[:, k:k + p] @ dphi
         J[:, k + p:] = J[:, k + p:] @ dtheta
         return J
@@ -439,54 +478,34 @@ def pi_weights(fit: ArimaFit, m: int) -> PiWeights:
     """First m weights of the autoregressive representation of the model.
 
     Includes the differencing operator: the weights expand
-    phi(B) (1-B)^d / theta(B). Computed by the convolution recursion
-    pi_k = phistar_k - theta_k + sum_{i<k} theta_i pi_{k-i}, where
-    phistar collects the coefficients of phi(B) (1-B)^d.
+    phi(B) (1-B)^d / theta(B). They are the impulse response of that
+    recursive filter, the one :func:`filter_residuals` runs. For q = 0 the
+    filter has no feedback, so the weights beyond p + d are exact zeros.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    p, d, q = fit.order.p, fit.order.d, fit.order.q
-    if q > 0 and min_ma_root_modulus(fit.theta) <= 1.0 + _ROOT_TOL:
-        warnings.warn(
-            "MA polynomial is not invertible; the weight expansion may diverge",
-            NonInvertibleWarning,
-            stacklevel=2,
-        )
-    poly = np.array([1.0] + [-c for c in fit.phi])
-    for _ in range(d):
+    _warn_if_not_invertible(fit.theta)
+    poly = _lag_poly(fit.phi)
+    for _ in range(fit.order.d):
         poly = np.convolve(poly, [1.0, -1.0])
-    # poly holds 1 - phistar_1 B - ... - phistar_{p+d} B^{p+d}
-    phistar = np.zeros(m + 1)
-    upto = min(p + d, m)
-    phistar[1:upto + 1] = -poly[1:upto + 1]
-    theta = np.zeros(m + 1)
-    theta[1:min(q, m) + 1] = fit.theta[:min(q, m)]
-    w = np.zeros(m + 1)
-    for k in range(1, m + 1):
-        acc = phistar[k] - theta[k]
-        for i in range(1, min(k - 1, q) + 1):
-            acc += theta[i] * w[k - i]
-        w[k] = acc
-    return PiWeights(weights=w[1:], m=m)
+    impulse = np.concatenate([[1.0], np.zeros(m)])
+    return PiWeights(weights=-signal.lfilter(poly, _lag_poly(fit.theta), impulse)[1:], m=m)
 
 
 def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
     """Filter a series into one residual per (differenced) observation.
 
     The series is differenced per the fitted order, centered at the
-    implied process mean, and passed through the truncated autoregressive
-    filter of the ARMA part. Early positions t <= p are warm-up values
-    computed from the lags available so far; downstream consumers should
-    treat them as conditioning values rather than genuine one-step errors.
+    implied process mean, and passed through the recursive filter
+    phi(B) / theta(B) with zero initial state: the autoregressive
+    representation of the ARMA part, untruncated, in O(n (p + q)). Early
+    positions t <= p are warm-up values computed from the lags available
+    so far; downstream consumers should treat them as conditioning values
+    rather than genuine one-step errors.
     """
+    _warn_if_not_invertible(fit.theta)
     w = difference(series, fit.order.d)
-    wt = w.values - fit.process_mean
-    m = w.n - 1
-    if m == 0:
-        return TimeSeries(wt, start_index=w.start_index)
-    arma_only = replace(fit, order=ArimaOrder(fit.order.p, 0, fit.order.q))
-    taps = np.concatenate([[1.0], -pi_weights(arma_only, m).weights])
-    e = signal.lfilter(taps, [1.0], wt)
+    e = signal.lfilter(_lag_poly(fit.phi), _lag_poly(fit.theta), w.values - fit.process_mean)
     return TimeSeries(e, start_index=w.start_index)
 
 

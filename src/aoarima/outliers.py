@@ -39,6 +39,7 @@ from .estimation import (
     ArimaFit,
     OlsResult,
     PiWeights,
+    _prefix_sse,
     fit_arima,
     filter_residuals,
     ols,
@@ -129,11 +130,8 @@ class DetectionResult:
 
 
 def _signature_kernel(pi: PiWeights) -> np.ndarray:
-    """[1, -pi_1, ..., -pi_K] with exact trailing zeros dropped."""
-    w = pi.weights
-    nz = np.flatnonzero(w)
-    k = int(nz[-1]) + 1 if nz.size else 0
-    return np.concatenate([[1.0], -w[:k]])
+    """[1, -pi_1, ..., -pi_K] with exact trailing zeros dropped (built once per weights)."""
+    return pi._poly
 
 
 def _stats_all_positions(e: np.ndarray, pi: PiWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +149,8 @@ def _stats_all_positions(e: np.ndarray, pi: PiWeights) -> tuple[np.ndarray, np.n
         num = np.correlate(padded, kern, mode="valid")[:n]
     else:
         num = e.copy()
-    w = pi.weights
-    cum = np.concatenate([[0.0], np.cumsum(w * w)])
     qlen = np.minimum(n - 1 - np.arange(n), pi.m)
-    tau2 = 1.0 + cum[qlen]
+    tau2 = 1.0 + pi._cum_sq[qlen]
     return num, tau2
 
 
@@ -258,16 +254,15 @@ def joint_refit(series: TimeSeries, outlier_times, p: int, with_intercept: bool 
         raise RankError(f"indicator times must be distinct, got {sorted(times)}")
     x = series.values
     n = series.n
-    rows = n - p
-    cols = []
-    if with_intercept:
-        cols.append(np.ones(rows))
+    k = 1 if with_intercept else 0
+    X = np.zeros((n - p, k + p + len(times)), order="F")
+    X[:, :k] = 1.0
     for i in range(1, p + 1):
-        cols.append(x[p - i:n - i])
-    row_labels = np.arange(series.start_index + p, series.start_index + n)
-    for t in times:
-        cols.append((row_labels == t).astype(float))
-    X = np.column_stack(cols)
+        X[:, k + i - 1] = x[p - i:n - i]
+    for j, t in enumerate(times):
+        row = t - series.start_index - p  # a label outside the rows leaves a zero column
+        if 0 <= row < n - p:
+            X[row, k + p + j] = 1.0
     return ols(X, x[p:])
 
 
@@ -285,9 +280,12 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
 
     Afterwards the corrected series is produced and a final model is
     estimated: for pure AR models without differencing, a joint
-    lags-plus-indicators regression (whose mean squared errors across
-    0..k indicators form ``mse_trail``); otherwise a fresh fit on the
+    lags-plus-indicators regression; otherwise a fresh fit on the
     corrected series (``mse_trail`` then holds the before/after pair).
+    The joint regression's columns (intercept, lags, indicators in
+    detection order) nest as prefixes, so the mean squared errors of the
+    fits with the first 0..k indicators, which form ``mse_trail``, are all
+    read off its one QR decomposition.
 
     The intercept convention of ``fit`` is carried through: a zero
     intercept is treated as an intercept-free model.
@@ -362,14 +360,10 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
 
     corrected = correct_series(series, records)
     if fit.order.q == 0 and fit.order.d == 0:
-        labels = [rec.T for rec in records]
-        trail = []
-        final: ArimaFit | OlsResult | None = None
-        for j in range(len(labels) + 1):
-            final = joint_refit(series, labels[:j], fit.order.p, with_intercept)
-            trail.append(final.mse)
-        mse_trail = tuple(trail)
-        final_fit = final
+        final_fit = joint_refit(series, [rec.T for rec in records], fit.order.p, with_intercept)
+        k = len(records)
+        sse = _prefix_sse(final_fit)[-(k + 1):]
+        mse_trail = tuple(float(v) / (final_fit.df_residual + k - j) for j, v in enumerate(sse))
     else:
         final_fit = fit_arima(corrected, fit.order, with_intercept)
         mse_trail = (fit.mse, final_fit.mse)

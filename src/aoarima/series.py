@@ -22,7 +22,6 @@ __all__ = [
     "select_box_cox",
     "acf",
     "pacf",
-    "pacf_yule_walker_dense",
 ]
 
 
@@ -205,23 +204,3 @@ def pacf(series: TimeSeries, max_lag: int) -> np.ndarray:
         phi_prev = phi
     return out
 
-
-def pacf_yule_walker_dense(series: TimeSeries, max_lag: int) -> np.ndarray:
-    """Partial autocorrelations by solving each Yule-Walker system densely.
-
-    O(max_lag^4); intended as a slow cross-check of :func:`pacf`.
-    """
-    rho = acf(series, max_lag)
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        R = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                R[i, j] = rho[abs(i - j)]
-        try:
-            phi = np.linalg.solve(R, rho[1:k + 1])
-        except np.linalg.LinAlgError as exc:
-            raise SingularError(f"Yule-Walker system singular at order {k}") from exc
-        out[k] = phi[-1]
-    return out

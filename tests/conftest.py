@@ -2,7 +2,9 @@
 
 The solvers here are deliberately written from scratch (no numpy.linalg)
 so tests can cross-check the library's linear algebra against an
-unrelated code path.
+unrelated code path. The other oracles are the slower algorithms the
+library replaced (Nelder-Mead CSS, the weight loop, the n-tap residual
+filter, dense Yule-Walker solves), kept as references.
 """
 
 import math
@@ -10,9 +12,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
-from scipy import optimize
+from scipy import optimize, signal
 
-from aoarima import ArimaFit, ArimaOrder, TimeSeries, difference, yule_walker
+from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, yule_walker
 from aoarima.errors import DegenerateError, SingularError
 from aoarima.estimation import _css_residuals, min_ar_root_modulus
 
@@ -106,6 +108,69 @@ def css_nelder_mead(series, order, with_intercept=True):
         candidates.append((float(res.fun), np.asarray(res.x, dtype=float)))
     sse, x = min(candidates, key=lambda c: c[0])
     return sse, (float(x[0]) if with_intercept else 0.0), x[k:k + p], x[k + p:]
+
+
+def pi_weights_loop(fit, m):
+    """Reference pi weights by the convolution recursion, one weight at a time.
+
+    pi_k = phistar_k - theta_k + sum_{i<k} theta_i pi_{k-i}, where phistar
+    collects the coefficients of phi(B) (1-B)^d: the loop the library ran
+    before it took the weights as an impulse response.
+    """
+    p, d, q = fit.order.p, fit.order.d, fit.order.q
+    poly = np.array([1.0] + [-c for c in fit.phi])
+    for _ in range(d):
+        poly = np.convolve(poly, [1.0, -1.0])
+    phistar = np.zeros(m + 1)
+    upto = min(p + d, m)
+    phistar[1:upto + 1] = -poly[1:upto + 1]
+    theta = np.zeros(m + 1)
+    theta[1:min(q, m) + 1] = fit.theta[:min(q, m)]
+    w = np.zeros(m + 1)
+    for k in range(1, m + 1):
+        acc = phistar[k] - theta[k]
+        for i in range(1, min(k - 1, q) + 1):
+            acc += theta[i] * w[k - i]
+        w[k] = acc
+    return PiWeights(weights=w[1:], m=m)
+
+
+def filter_residuals_fir(series, fit):
+    """Reference residual filter: an FIR filter with one tap per pi weight of the ARMA part.
+
+    The differenced, centred series passes through 1 - pi_1 B - ... -
+    pi_{n-1} B^{n-1}, which is the recursive filter phi(B) / theta(B)
+    written out in full for an n-long input: the O(n^2) form the library
+    ran before.
+    """
+    w = difference(series, fit.order.d)
+    wt = w.values - fit.process_mean
+    if w.n == 1:
+        return TimeSeries(wt, start_index=w.start_index)
+    arma_only = make_fit(phi=fit.phi, theta=fit.theta)
+    taps = np.concatenate([[1.0], -pi_weights_loop(arma_only, w.n - 1).weights])
+    return TimeSeries(signal.lfilter(taps, [1.0], wt), start_index=w.start_index)
+
+
+def pacf_yule_walker_dense(series, max_lag):
+    """Partial autocorrelations by solving each Yule-Walker system densely.
+
+    O(max_lag^4); a slow cross-check of :func:`aoarima.pacf`.
+    """
+    rho = acf(series, max_lag)
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        R = np.empty((k, k))
+        for i in range(k):
+            for j in range(k):
+                R[i, j] = rho[abs(i - j)]
+        try:
+            phi = np.linalg.solve(R, rho[1:k + 1])
+        except np.linalg.LinAlgError as exc:
+            raise SingularError(f"Yule-Walker system singular at order {k}") from exc
+        out[k] = phi[-1]
+    return out
 
 
 @pytest.fixture

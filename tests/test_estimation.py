@@ -30,9 +30,25 @@ from aoarima.estimation import (
     min_ar_root_modulus,
     min_ma_root_modulus,
 )
+from aoarima.outliers import _signature_kernel
 from aoarima.simulate import SimSpec, simulate
 
-from conftest import css_nelder_mead, make_fit, normal_equations_ols
+from conftest import (
+    css_nelder_mead,
+    filter_residuals_fir,
+    make_fit,
+    normal_equations_ols,
+    pi_weights_loop,
+)
+
+# (phi, theta, d) of the models the recursive filter is checked on
+FILTER_MODELS = {
+    "ar2": ((0.5, 0.3), (), 0),
+    "ma2": ((), (0.4, -0.3), 0),
+    "arma11": ((0.6,), (0.3,), 0),
+    "arima111": ((0.5,), (0.3,), 1),
+    "arima120": ((0.4,), (), 2),
+}
 
 
 class TestOls:
@@ -351,6 +367,46 @@ class TestFilterResiduals:
         e = filter_residuals(y, fit)
         assert e.n == y.n
         assert np.max(np.abs(e.values[2:] - fit.residuals.values)) < 1e-8
+
+
+class TestRecursiveFilterAgainstFir:
+    """The impulse-response weights and the recursive filter against the loop and FIR oracles."""
+
+    @staticmethod
+    def _case(name, n):
+        phi, theta, d = FILTER_MODELS[name]
+        y = simulate(SimSpec(order=ArimaOrder(len(phi), d, len(theta)), n=n, seed=n + d,
+                             phi=phi, theta=theta, intercept=0.4))
+        return y, make_fit(phi=phi, theta=theta, d=d, intercept=0.4)
+
+    @pytest.mark.parametrize("n", [50, 500])
+    @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+    def test_pi_weights_match_loop(self, name, n):
+        _, fit = self._case(name, n)
+        got = pi_weights(fit, n - 1).weights
+        want = pi_weights_loop(fit, n - 1).weights
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [50, 500])
+    @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+    def test_filter_residuals_match_fir(self, name, n):
+        y, fit = self._case(name, n)
+        got = filter_residuals(y, fit)
+        want = filter_residuals_fir(y, fit)
+        assert got.start_index == want.start_index
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+    @pytest.mark.parametrize("name", ["ar2", "arima120"])
+    def test_pure_ar_weights_are_exact_and_short(self, name):
+        phi, _, d = FILTER_MODELS[name]
+        fit = make_fit(phi=phi, d=d)
+        pi = pi_weights(fit, 499)
+        assert np.array_equal(pi.weights, pi_weights_loop(fit, 499).weights)
+        assert _signature_kernel(pi).size == len(phi) + d + 1
+
+    def test_single_observation_passes_through(self):
+        fit = make_fit(phi=(0.5,), theta=(0.3,), intercept=0.5)
+        assert filter_residuals(TimeSeries([3.0]), fit).values.tolist() == [2.0]
 
 
 class TestSigmaHat:

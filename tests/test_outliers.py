@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from aoarima import (
     simulate,
     tau_squared,
 )
+from aoarima.cli import read_series_csv
 from aoarima.outliers import OutlierRecord
 from aoarima.rng import normals
 
@@ -296,6 +298,30 @@ class TestDetectIterative:
             cfg = DetectionConfig(critical_value=100.0)
         res = detect_iterative(y, fit, cfg)
         assert res.outliers == ()
+
+
+class TestMseLadder:
+    """The ladder read off one decomposition against one joint regression per rung."""
+
+    @staticmethod
+    def _check(y, config):
+        res = detect_iterative(y, fit_ar_ols(y, 2, with_intercept=True), config)
+        labels = [r.T for r in res.outliers]
+        assert labels
+        ladder = [joint_refit(y, labels[:j], 2, True).mse for j in range(len(labels) + 1)]
+        assert np.allclose(res.mse_trail, ladder, rtol=1e-12, atol=0.0)
+        full = joint_refit(y, labels, 2, True)
+        assert np.allclose(res.final_fit.coefficients, full.coefficients, rtol=1e-12, atol=0.0)
+        assert np.allclose(res.final_fit.std_errors, full.std_errors, rtol=1e-12, atol=0.0)
+
+    def test_demo_csv(self):
+        y = read_series_csv(str(resources.files("aoarima") / "data" / "demo_series.csv"))
+        self._check(y, DetectionConfig())
+
+    def test_seeded_ar2_with_planted_outliers(self):
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=2000, seed=77, phi=DEMO_PHI))
+        plan = InjectionPlan(points=((300, 8.0), (801, -7.0), (1250, 9.0), (1900, -8.0)))
+        self._check(inject(z, plan), DetectionConfig(critical_value=4.0))
 
 
 class TestCorrectSeries:

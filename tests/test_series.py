@@ -19,8 +19,9 @@ from aoarima import (
     pacf,
     select_box_cox,
 )
-from aoarima.series import pacf_yule_walker_dense
 from aoarima.simulate import ArimaOrder, SimSpec, simulate
+
+from conftest import pacf_yule_walker_dense
 
 
 class TestTimeSeries:
