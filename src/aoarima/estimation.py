@@ -192,8 +192,9 @@ def ols(X: np.ndarray, y) -> OlsResult:
 
     One Householder QR of [X | y] (LAPACK dgeqrf in place, no explicit Q)
     that keeps only R, whose last column is Q^T y: beta solves
-    R beta = (Q^T y)[:cols], the residual sum of squares is the squared
-    bottom corner, and :func:`_prefix_sse` reads that column.
+    R beta = (Q^T y)[:cols] and the residual sum of squares is the squared
+    bottom corner. The factor rides on the result for
+    :func:`~aoarima.outliers.joint_refit`.
     Raises :class:`RankError` when the system is underdetermined or the
     design is rank deficient (pivot ratio below 1e-10).
     """
@@ -212,14 +213,12 @@ def ols(X: np.ndarray, y) -> OlsResult:
     pivots = np.abs(np.diag(r)[:cols])
     if pivots.size == 0 or pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0:
         raise RankError("design matrix is rank deficient")
-    qty = r[:, cols]
-    r = r[:cols, :cols]
-    beta = np.linalg.solve(r, qty[:cols])
+    beta = np.linalg.solve(r[:cols, :cols], r[:cols, cols])
     fitted = X @ beta
-    sse = float(qty[cols] ** 2)
+    sse = float(r[cols, cols] ** 2)
     df = rows - cols
     mse = sse / df
-    rinv = np.linalg.solve(r, np.eye(cols))
+    rinv = np.linalg.solve(r[:cols, :cols], np.eye(cols))
     xtx_inv_diag = np.sum(rinv * rinv, axis=1)
     std = np.sqrt(mse * xtx_inv_diag)
     res = OlsResult(
@@ -231,27 +230,19 @@ def ols(X: np.ndarray, y) -> OlsResult:
         residuals=y - fitted,
         df_residual=df,
     )
-    object.__setattr__(res, "_qty", qty)  # not a field: equality and repr ignore it
+    object.__setattr__(res, "_r", r)  # not a field: equality and repr ignore it
     return res
 
 
-def _prefix_sse(res: OlsResult) -> np.ndarray:
-    """Residual sums of squares of the fits on the first c columns of the design, c = 0..cols.
-
-    Dropping trailing columns moves their (Q^T y)_i^2 into the residual, so
-    entry c sums the squares from position c down; the last is ``res.sse``.
-    """
-    return np.cumsum(res._qty[::-1] ** 2)[::-1]
-
-
-def _lagged_design(x: np.ndarray, p: int, with_intercept: bool) -> tuple[np.ndarray, np.ndarray]:
-    n = x.size
-    cols = []
-    if with_intercept:
-        cols.append(np.ones(n - p))
+def _lagged_design(x: np.ndarray, p: int, with_intercept: bool, rows=slice(None)) -> tuple:
+    """X with columns 1, x_{t-1}, ..., x_{t-p} and y = x_t, for t >= p; ``rows`` of them only."""
+    y = x[p:][rows]
+    k = 1 if with_intercept else 0
+    X = np.empty((y.size, k + p), order="F")
+    X[:, :k] = 1.0
     for i in range(1, p + 1):
-        cols.append(x[p - i:n - i])
-    return np.column_stack(cols), x[p:]
+        X[:, k + i - 1] = x[p - i:x.size - i][rows]
+    return X, y
 
 
 def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> ArimaFit:

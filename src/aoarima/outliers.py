@@ -39,7 +39,7 @@ from .estimation import (
     ArimaFit,
     OlsResult,
     PiWeights,
-    _prefix_sse,
+    _lagged_design,
     fit_arima,
     filter_residuals,
     ols,
@@ -247,23 +247,42 @@ def joint_refit(series: TimeSeries, outlier_times, p: int, with_intercept: bool 
 
     Indicator j is 1 only at index label ``outlier_times[j]``, so the
     final ``len(outlier_times)`` coefficients are refined magnitude
-    estimates. Coincident indicator times are rejected.
+    estimates. Coincident indicator times are rejected. An indicator fits
+    its row exactly, so the columns are never formed: the lag coefficients
+    are the fit on the other rows, magnitude j is the prediction error at
+    its row, with variance factor 1 + a_j (A'A)^-1 a_j' over the other rows
+    (the partitioned inverse). Adding those rows back to the triangular
+    factor of [A | y] one at a time, last first, gives the SSEs of the fits
+    with the first k, ..., 0 indicators, which ride on the result for
+    :func:`detect_iterative`.
     """
     times = list(outlier_times)
     if len(set(times)) != len(times):
         raise RankError(f"indicator times must be distinct, got {sorted(times)}")
     x = series.values
-    n = series.n
-    k = 1 if with_intercept else 0
-    X = np.zeros((n - p, k + p + len(times)), order="F")
-    X[:, :k] = 1.0
-    for i in range(1, p + 1):
-        X[:, k + i - 1] = x[p - i:n - i]
-    for j, t in enumerate(times):
-        row = t - series.start_index - p  # a label outside the rows leaves a zero column
-        if 0 <= row < n - p:
-            X[row, k + p + j] = 1.0
-    return ols(X, x[p:])
+    rows = np.array(times, dtype=int) - (series.start_index + p)
+    if np.any((rows < 0) | (rows >= series.n - p)):  # an indicator column of zeros
+        raise RankError("design matrix is rank deficient")
+    keep = np.ones(series.n - p, dtype=bool)
+    keep[rows] = False
+    base = ols(*_lagged_design(x, p, with_intercept, keep))
+    r = base._r
+    c = r.shape[1] - 1
+    a, y = _lagged_design(x, p, with_intercept, rows)
+    omega = y - a @ np.asarray(base.coefficients)
+    z = np.linalg.solve(r[:c, :c].T, a.T)
+    std = np.sqrt(base.mse * (1.0 + np.sum(z * z, axis=0)))
+    residuals = np.zeros(keep.size)
+    residuals[keep] = base.residuals
+    res = replace(base, coefficients=base.coefficients + tuple(float(w) for w in omega),
+                  std_errors=base.std_errors + tuple(float(s) for s in std),
+                  fitted=x[p:] - residuals, residuals=residuals)
+    sse = [base.sse]
+    for j in range(len(times) - 1, -1, -1):
+        r = np.linalg.qr(np.vstack([r, np.append(a[j], y[j])]), mode="r")
+        sse.append(float(r[c, c] ** 2))
+    object.__setattr__(res, "_nested_sse", sse[::-1])  # not a field: equality and repr ignore it
+    return res
 
 
 def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig | None = None) -> DetectionResult:
@@ -282,10 +301,9 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     estimated: for pure AR models without differencing, a joint
     lags-plus-indicators regression; otherwise a fresh fit on the
     corrected series (``mse_trail`` then holds the before/after pair).
-    The joint regression's columns (intercept, lags, indicators in
-    detection order) nest as prefixes, so the mean squared errors of the
-    fits with the first 0..k indicators, which form ``mse_trail``, are all
-    read off its one QR decomposition.
+    The mean squared errors of the joint fits with the first 0..k
+    indicators in detection order form ``mse_trail``; they come from the
+    final regression's one QR decomposition, updated a row at a time.
 
     The intercept convention of ``fit`` is carried through: a zero
     intercept is treated as an intercept-free model.
@@ -362,8 +380,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     if fit.order.q == 0 and fit.order.d == 0:
         final_fit = joint_refit(series, [rec.T for rec in records], fit.order.p, with_intercept)
         k = len(records)
-        sse = _prefix_sse(final_fit)[-(k + 1):]
-        mse_trail = tuple(float(v) / (final_fit.df_residual + k - j) for j, v in enumerate(sse))
+        mse_trail = tuple(v / (final_fit.df_residual + k - j) for j, v in enumerate(final_fit._nested_sse))
     else:
         final_fit = fit_arima(corrected, fit.order, with_intercept)
         mse_trail = (fit.mse, final_fit.mse)

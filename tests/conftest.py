@@ -4,7 +4,8 @@ The solvers here are deliberately written from scratch (no numpy.linalg)
 so tests can cross-check the library's linear algebra against an
 unrelated code path. The other oracles are the slower algorithms the
 library replaced (Nelder-Mead CSS, the weight loop, the n-tap residual
-filter, dense Yule-Walker solves), kept as references.
+filter, dense Yule-Walker solves, the dense indicator regression), kept
+as references.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import settings
 from scipy import optimize, signal
 
-from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, yule_walker
+from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
 from aoarima.errors import DegenerateError, SingularError
 from aoarima.estimation import _css_residuals, min_ar_root_modulus
 
@@ -171,6 +172,26 @@ def pacf_yule_walker_dense(series, max_lag):
             raise SingularError(f"Yule-Walker system singular at order {k}") from exc
         out[k] = phi[-1]
     return out
+
+
+def joint_refit_dense(series, outlier_times, p, with_intercept=True):
+    """Reference joint regression: lags plus every indicator as a dense column.
+
+    A label outside the regression rows leaves a zero column, which
+    :func:`aoarima.ols` rejects as rank deficient.
+    """
+    x = series.values
+    n = series.n
+    k = 1 if with_intercept else 0
+    X = np.zeros((n - p, k + p + len(outlier_times)))
+    X[:, :k] = 1.0
+    for i in range(1, p + 1):
+        X[:, k + i - 1] = x[p - i:n - i]
+    for j, t in enumerate(outlier_times):
+        row = t - series.start_index - p
+        if 0 <= row < n - p:
+            X[row, k + p + j] = 1.0
+    return ols(X, x[p:])
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from aoarima.cli import read_series_csv
 from aoarima.outliers import OutlierRecord
 from aoarima.rng import normals
 
-from conftest import make_fit
+from conftest import joint_refit_dense, make_fit
 
 
 def signature_series(pi, n, T, omega):
@@ -380,6 +380,35 @@ class TestJointRefit:
         om = res.coefficients[-2:]
         assert om[0] == pytest.approx(8.0, abs=1.5)
         assert om[1] == pytest.approx(-8.0, abs=1.5)
+
+    @pytest.mark.parametrize("n, seed, times, with_intercept, start", [
+        (200, 20180967, [98, 162, 180], True, 1),
+        (200, 20180967, [180, 3, 98, 200], True, 1),  # first and last regression rows
+        (120, 5, [40, 41, 42], False, 1),  # adjacent indicators
+        (300, 8, [], True, 1),
+        (150, 9, [1060, 1010, 1100], True, 1001),  # labels offset by the start index
+    ])
+    def test_matches_dense_indicator_regression(self, n, seed, times, with_intercept, start):
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=n, seed=seed, phi=DEMO_PHI))
+        y = TimeSeries(z.values + 3.0, start_index=start)
+        got = joint_refit(y, times, 2, with_intercept)
+        want = joint_refit_dense(y, times, 2, with_intercept)
+        for field in ("coefficients", "std_errors"):
+            assert np.allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0.0), field
+        for field in ("fitted", "residuals"):  # exact zeros at the indicator rows against ~1e-16
+            tol = 1e-12 * np.abs(y.values).max()
+            assert np.allclose(getattr(got, field), getattr(want, field), rtol=0.0, atol=tol), field
+        assert got.sse == pytest.approx(want.sse, rel=1e-12)
+        assert got.mse == pytest.approx(want.mse, rel=1e-12)
+        assert got.df_residual == want.df_residual
+
+    @pytest.mark.parametrize("label", [0, 2, 101])
+    def test_label_outside_the_rows_rejected(self, label):
+        y = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=100, seed=3, phi=DEMO_PHI))
+        with pytest.raises(RankError):
+            joint_refit_dense(y, [50, label], 2, True)
+        with pytest.raises(RankError):
+            joint_refit(y, [50, label], 2, True)
 
     def test_duplicate_indicators_rejected(self):
         y = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=100, seed=3, phi=DEMO_PHI))
