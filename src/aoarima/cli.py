@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import comparison_table, ks_normal, ljung_box
-from .errors import AoArimaError, ParseError, RankError, StabilityError
+from .errors import AoArimaError, ParseError, RankError
 from .estimation import ArimaFit, ArimaOrder, fit_arima
 from .outliers import DetectionConfig, DetectionResult, detect_iterative
 from .series import TimeSeries, acf, pacf
@@ -323,13 +323,7 @@ def render_report(report: dict, fmt: str) -> str:
 def _render_csv(report: dict) -> str:
     if report["command"] == "fit":
         rows = ["name,estimate,std_error"]
-        model = report["model"]
-        names = (["intercept"] if report["with_intercept"] else []) \
-            + [f"ar{i+1}" for i in range(len(model["phi"]))] \
-            + [f"ma{i+1}" for i in range(len(model["theta"]))]
-        estimates = ([model["intercept"]] if report["with_intercept"] else []) \
-            + model["phi"] + model["theta"]
-        for name, est, se in zip(names, estimates, model["std_errors"]):
+        for name, est, se in _coefficient_rows(report["model"], report["with_intercept"]):
             rows.append(f"{name},{est!r},{se!r}")
         return "\n".join(rows) + "\n"
     rows = ["T,omega_hat,lambda_hat,tau2,iteration,edge"]
@@ -345,13 +339,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _render_model_lines(model: dict, with_intercept: bool) -> list:
+def _coefficient_rows(model: dict, with_intercept: bool):
+    """(name, estimate, std error) of each coefficient: intercept, ar1.., ma1.."""
     names = (["intercept"] if with_intercept else []) \
         + [f"ar{i+1}" for i in range(len(model["phi"]))] \
         + [f"ma{i+1}" for i in range(len(model["theta"]))]
     estimates = ([model["intercept"]] if with_intercept else []) + model["phi"] + model["theta"]
+    return zip(names, estimates, model["std_errors"])
+
+
+def _render_model_lines(model: dict, with_intercept: bool) -> list:
     lines = ["  coefficient   estimate      std error"]
-    for name, est, se in zip(names, estimates, model["std_errors"]):
+    for name, est, se in _coefficient_rows(model, with_intercept):
         lines.append(f"  {name:<12}  {_fmt(est):>12}  {_fmt(se):>12}")
     lines.append(
         f"  sigma2 = {_fmt(model['sigma2'])}   mse = {_fmt(model['mse'])}   sse = {_fmt(model['sse'])}"
@@ -571,10 +570,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RankError as exc:
@@ -584,9 +580,6 @@ def main(argv=None) -> int:
             "try --no-intercept or check the input file",
             file=sys.stderr,
         )
-        return EXIT_MODEL
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except AoArimaError as exc:
         print(f"error: {exc}", file=sys.stderr)

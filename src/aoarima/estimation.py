@@ -119,7 +119,9 @@ class PiWeights:
     """Truncated weights of the autoregressive (infinite-order) representation.
 
     ``weights[j-1]`` is pi_j in pi(B) = 1 - pi_1 B - pi_2 B^2 - ...; the
-    implicit pi_0 is 1.
+    implicit pi_0 is 1. Weights from :func:`pi_weights` also carry the
+    recursive filter they are the impulse response of, the one
+    :func:`filter_residuals` runs; the outlier scan runs it backwards.
     """
 
     weights: np.ndarray
@@ -132,11 +134,13 @@ class PiWeights:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        # built once for all scans: pi(B) cut after its last non-zero term,
-        # and the partial sums 0, pi_1^2, pi_1^2 + pi_2^2, ...
-        k = int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0
-        object.__setattr__(self, "_poly", np.concatenate([[1.0], -w[:k]]))
-        object.__setattr__(self, "_cum_sq", np.concatenate([[0.0], np.cumsum(w * w)]))
+        # built once for all scans: the weights up to the last non-zero one, and
+        # 1 + pi_1^2 + ... + pi_{m-s}^2 at position s of an (m + 1)-long series
+        object.__setattr__(self, "_support", int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0)
+        tau2 = np.ones(self.m + 1)
+        tau2[:-1] += np.cumsum(w * w)[::-1]
+        tau2.flags.writeable = False
+        object.__setattr__(self, "_tau2", tau2)
 
 
 def _lag_poly(coeffs) -> np.ndarray:
@@ -470,8 +474,10 @@ def pi_weights(fit: ArimaFit, m: int) -> PiWeights:
 
     Includes the differencing operator: the weights expand
     phi(B) (1-B)^d / theta(B). They are the impulse response of that
-    recursive filter, the one :func:`filter_residuals` runs. For q = 0 the
-    filter has no feedback, so the weights beyond p + d are exact zeros.
+    recursive filter, the one :func:`filter_residuals` runs, and the
+    filter rides on the result for the outlier scan, which runs it
+    backwards. For q = 0 the filter has no feedback, so the weights beyond
+    p + d are exact zeros.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -479,8 +485,11 @@ def pi_weights(fit: ArimaFit, m: int) -> PiWeights:
     poly = _lag_poly(fit.phi)
     for _ in range(fit.order.d):
         poly = np.convolve(poly, [1.0, -1.0])
+    filt = (poly, _lag_poly(fit.theta))
     impulse = np.concatenate([[1.0], np.zeros(m)])
-    return PiWeights(weights=-signal.lfilter(poly, _lag_poly(fit.theta), impulse)[1:], m=m)
+    pi = PiWeights(weights=-signal.lfilter(*filt, impulse)[1:], m=m)
+    object.__setattr__(pi, "_filter", filt)  # not a field: equality and repr ignore it
+    return pi
 
 
 def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
@@ -498,6 +507,17 @@ def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
     w = difference(series, fit.order.d)
     e = signal.lfilter(_lag_poly(fit.phi), _lag_poly(fit.theta), w.values - fit.process_mean)
     return TimeSeries(e, start_index=w.start_index)
+
+
+def _filter_backward(e: np.ndarray, pi: PiWeights) -> np.ndarray:
+    """e[s] - pi_1 e[s+1] - ... - pi_{n-1-s} e[n-1]: pi(F) applied to e, F the forward shift.
+
+    That is the filter of :func:`pi_weights` run over the reversed series,
+    whose zero initial state cuts each sum at the end of the series.
+    Weights built by hand have no filter and run as their own taps.
+    """
+    filt = getattr(pi, "_filter", None) or (_lag_poly(pi.weights[:pi._support]), [1.0])
+    return signal.lfilter(*filt, e[::-1])[::-1]
 
 
 def sigma_hat(residuals: TimeSeries) -> float:

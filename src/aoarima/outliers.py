@@ -5,25 +5,25 @@ time T is the clean value plus an unknown magnitude. After filtering the
 series through the model's autoregressive representation, that single
 bump leaves a known signature in the residuals: +1 at T followed by
 -pi_1, -pi_2, ... at the later positions. Every operation in this module
-is least-squares algebra against that signature column:
+is least-squares algebra against that signature column, at every position
+at once: the regression numerator is the residual filter run backwards,
+and the squared signature norm is read off the weights.
 
-* ``omega_hat``   -- magnitude estimate: signature-weighted residual sum
-                     divided by the squared signature norm,
-* ``tau_squared`` -- the squared signature norm itself,
-* ``lambda_stat`` -- the standardized test statistic tau * omega / sigma,
-* ``scan``        -- position with the largest absolute statistic,
+* ``scan``        -- position with the largest absolute standardized
+                     statistic tau * omega / sigma, and its magnitude
+                     estimate omega,
 * ``adjust_residuals`` -- removes a detected signature from the residuals,
 * ``detect_iterative`` -- the scan/test/adjust loop with audit trail,
 * ``correct_series``   -- subtracts detected magnitudes from the data,
 * ``joint_refit``      -- re-estimates AR coefficients and magnitudes in
                           one regression with indicator columns.
 
-Positions handed to the low-level operations (``T`` in ``tau_squared``,
-``omega_hat``, ``adjust_residuals``, the scan result) are 1-based
-positions within the residual series. ``detect_iterative`` converts scan
-positions to index labels of the input series, so the records it returns
-use the same labels as the data (with the default start index of 1 and
-no differencing the two coincide).
+Positions handed to the low-level operations (``T`` in
+``adjust_residuals``, the scan result) are 1-based positions within the
+residual series. ``detect_iterative`` converts scan positions to index
+labels of the input series, so the records it returns use the same labels
+as the data (with the default start index of 1 and no differencing the two
+coincide).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .estimation import (
     ArimaFit,
     OlsResult,
     PiWeights,
+    _filter_backward,
     _lagged_design,
     fit_arima,
     filter_residuals,
@@ -52,9 +53,6 @@ __all__ = [
     "DetectionConfig",
     "OutlierRecord",
     "DetectionResult",
-    "tau_squared",
-    "omega_hat",
-    "lambda_stat",
     "scan",
     "adjust_residuals",
     "detect_iterative",
@@ -129,64 +127,19 @@ class DetectionResult:
     terminated_by: str  # no_candidate | max_outliers | max_iterations
 
 
-def _signature_kernel(pi: PiWeights) -> np.ndarray:
-    """[1, -pi_1, ..., -pi_K] with exact trailing zeros dropped (built once per weights)."""
-    return pi._poly
-
-
 def _stats_all_positions(e: np.ndarray, pi: PiWeights) -> tuple[np.ndarray, np.ndarray]:
     """Numerators and squared norms of the signature regression at every position.
 
     Returns (num, tau2) arrays of length n where, for 0-based position s,
-    num[s] = e[s] - sum_j pi_j e[s+j] and tau2[s] = 1 + sum_j pi_j^2,
-    both truncated at min(n - s - 1, m) trailing terms.
+    num[s] = e[s] - sum_j pi_j e[s+j] and tau2[s] = 1 + sum_j pi_j^2, both
+    over the n - s - 1 later positions: num is the residual filter run
+    backwards, tau2 the tail of the array the weights keep. The weights
+    must reach the end of the series (n <= m + 1).
     """
     n = e.size
-    kern = _signature_kernel(pi)
-    k = kern.size - 1
-    if k > 0:
-        padded = np.concatenate([e, np.zeros(k)])
-        num = np.correlate(padded, kern, mode="valid")[:n]
-    else:
-        num = e.copy()
-    qlen = np.minimum(n - 1 - np.arange(n), pi.m)
-    tau2 = 1.0 + pi._cum_sq[qlen]
-    return num, tau2
-
-
-def tau_squared(pi: PiWeights, n: int, T: int) -> float:
-    """Squared norm of the outlier signature at position T of an n-long series."""
-    if T < 1 or T > n:
-        raise IndexError(f"position {T} outside [1, {n}]")
-    upto = min(n - T, pi.m)
-    w = pi.weights[:upto]
-    return 1.0 + float(w @ w)
-
-
-def omega_hat(e: TimeSeries, pi: PiWeights, T: int) -> float:
-    """Least-squares magnitude of an additive outlier at position T.
-
-    Equals the coefficient of regressing the residuals on the signature
-    column (+1 at T, -pi_j at T+j): the signature-weighted sum of the
-    residuals divided by the squared signature norm.
-    """
-    n = e.n
-    if T < 1 or T > n:
-        raise IndexError(f"position {T} outside [1, {n}]")
-    v = e.values
-    upto = min(n - T, pi.m)
-    w = pi.weights[:upto]
-    num = float(v[T - 1]) - float(w @ v[T:T + upto])
-    return num / (1.0 + float(w @ w))
-
-
-def lambda_stat(omega: float, tau2: float, sigma: float) -> float:
-    """Standardized statistic tau * omega / sigma; ~N(0,1) under no outlier."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    if tau2 < 1.0:
-        raise DomainError("tau2 cannot be below 1 (the signature includes a unit spike)")
-    return math.sqrt(tau2) * omega / sigma
+    if n > pi.m + 1:
+        raise ValueError(f"{pi.m} weights cannot scan a series of {n} values; need m >= n - 1")
+    return _filter_backward(e, pi), pi._tau2[pi.m + 1 - n:]
 
 
 def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0,
@@ -195,7 +148,7 @@ def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0,
 
     Scans positions ``1 + margin .. n - end_margin`` (``end_margin``
     defaults to ``margin``); ties break toward the smallest position.
-    Returns ``(T, omega, lambda)``.
+    ``pi`` needs at least n - 1 weights. Returns ``(T, omega, lambda)``.
     """
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
@@ -227,10 +180,10 @@ def adjust_residuals(e: TimeSeries, omega: float, pi: PiWeights, T: int) -> Time
     n = e.n
     if T < 1 or T > n:
         raise IndexError(f"position {T} outside [1, {n}]")
-    kern = _signature_kernel(pi)
+    k = min(pi._support, n - T)
     out = e.values.copy()
-    avail = min(kern.size, n - T + 1)
-    out[T - 1:T - 1 + avail] -= omega * kern[:avail]
+    out[T - 1] -= omega
+    out[T:T + k] += omega * pi.weights[:k]
     return TimeSeries(out, start_index=e.start_index)
 
 
@@ -358,7 +311,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
                     omega_hat=omega,
                     lambda_hat=lam,
                     iteration=iterations,
-                    tau2=tau_squared(pi, e.n, pos),
+                    tau2=float(pi._tau2[pi.m + pos - e.n]),
                 )
             )
         if config.refit_each_iteration:

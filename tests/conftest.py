@@ -4,8 +4,8 @@ The solvers here are deliberately written from scratch (no numpy.linalg)
 so tests can cross-check the library's linear algebra against an
 unrelated code path. The other oracles are the slower algorithms the
 library replaced (Nelder-Mead CSS, the weight loop, the n-tap residual
-filter, dense Yule-Walker solves, the dense indicator regression), kept
-as references.
+filter, dense Yule-Walker solves, the dense indicator regression, the
+per-position outlier statistics), kept as references.
 """
 
 import math
@@ -16,12 +16,23 @@ from hypothesis import settings
 from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
-from aoarima.errors import DegenerateError, SingularError
+from aoarima.errors import DegenerateError, DomainError, SingularError
 from aoarima.estimation import _css_residuals, min_ar_root_modulus
+from aoarima.outliers import _stats_all_positions
 
 # keep property tests reproducible run to run
 settings.register_profile("repo", derandomize=True)
 settings.load_profile("repo")
+
+# (phi, theta, d) of the models the recursive filters are checked on
+FILTER_MODELS = {
+    "ar2": ((0.5, 0.3), (), 0),
+    "ma2": ((), (0.4, -0.3), 0),
+    "arma11": ((0.6,), (0.3,), 0),
+    "arima111": ((0.5,), (0.3,), 1),
+    "arima111_slow_ma": ((0.5,), (0.95,), 1),
+    "arima120": ((0.4,), (), 2),
+}
 
 
 def make_fit(phi=(), theta=(), d=0, intercept=0.0, sigma2=1.0):
@@ -192,6 +203,52 @@ def joint_refit_dense(series, outlier_times, p, with_intercept=True):
         if 0 <= row < n - p:
             X[row, k + p + j] = 1.0
     return ols(X, x[p:])
+
+
+def tau_squared(pi, n, T):
+    """Reference squared norm of the outlier signature at position T of an n-long series."""
+    if T < 1 or T > n:
+        raise IndexError(f"position {T} outside [1, {n}]")
+    upto = min(n - T, pi.m)
+    w = pi.weights[:upto]
+    return 1.0 + float(w @ w)
+
+
+def omega_hat(e, pi, T):
+    """Reference least-squares magnitude of an additive outlier at position T.
+
+    The coefficient of regressing the residuals on the signature column
+    (+1 at T, -pi_j at T+j): the signature-weighted sum of the residuals
+    divided by the squared signature norm, one position at a time.
+    """
+    n = e.n
+    if T < 1 or T > n:
+        raise IndexError(f"position {T} outside [1, {n}]")
+    v = e.values
+    upto = min(n - T, pi.m)
+    w = pi.weights[:upto]
+    num = float(v[T - 1]) - float(w @ v[T:T + upto])
+    return num / (1.0 + float(w @ w))
+
+
+def lambda_stat(omega, tau2, sigma):
+    """Reference standardized statistic tau * omega / sigma; ~N(0,1) under no outlier."""
+    if sigma <= 0.0:
+        raise DomainError("sigma must be positive")
+    if tau2 < 1.0:
+        raise DomainError("tau2 cannot be below 1 (the signature includes a unit spike)")
+    return math.sqrt(tau2) * omega / sigma
+
+
+def scan_omega(e, pi, T):
+    """The library's magnitude estimate at position T: num / tau2 off its all-positions kernel."""
+    num, tau2 = _stats_all_positions(e.values, pi)
+    return float(num[T - 1] / tau2[T - 1])
+
+
+def scan_tau2(pi, n, T):
+    """The library's squared signature norm at position T of an n-long series."""
+    return float(_stats_all_positions(np.zeros(n), pi)[1][T - 1])
 
 
 @pytest.fixture

@@ -38,7 +38,6 @@ from aoarima import (
     ks_normal,
     ljung_box,
     ols,
-    omega_hat,
     pi_weights,
     simulate,
 )
@@ -47,7 +46,7 @@ from aoarima.outliers import _stats_all_positions
 from aoarima.rng import normals
 from scipy.special import ndtri
 
-from conftest import make_fit
+from conftest import make_fit, scan_omega
 from test_diagnostics import chi_square_sf_quadrature
 
 DEMO_PHI = (0.2237, 0.4282)
@@ -82,10 +81,10 @@ def test_criterion_1_exact_omega_recovery():
         pi = pi_weights(fit, n - 1)
         for T in (1, 7, 20, 39, 40):
             e = TimeSeries(_signature(pi, n, T, 5.0))
-            got = omega_hat(e, pi, T)
+            got = scan_omega(e, pi, T)
             worst_recover = max(worst_recover, abs(got - 5.0))
             adjusted = adjust_residuals(e, got, pi, T)
-            worst_orth = max(worst_orth, abs(omega_hat(adjusted, pi, T)))
+            worst_orth = max(worst_orth, abs(scan_omega(adjusted, pi, T)))
     elapsed = time.perf_counter() - t0
     ok = worst_recover < 1e-12 and worst_orth < 1e-12 and elapsed < 1.0
     _verdict(
@@ -107,7 +106,7 @@ def test_criterion_2_oracle_equivalence():
         T = int(rng.integers(1, n + 1))
         column = _signature(pi, n, T, 1.0)
         oracle = ols(column.reshape(-1, 1), e).coefficients[0]
-        worst_omega = max(worst_omega, abs(omega_hat(TimeSeries(e), pi, T) - oracle))
+        worst_omega = max(worst_omega, abs(scan_omega(TimeSeries(e), pi, T) - oracle))
 
     worst_poly = 0.0
     m = 15

@@ -30,26 +30,16 @@ from aoarima.estimation import (
     min_ar_root_modulus,
     min_ma_root_modulus,
 )
-from aoarima.outliers import _signature_kernel
 from aoarima.simulate import SimSpec, simulate
 
 from conftest import (
+    FILTER_MODELS,
     css_nelder_mead,
     filter_residuals_fir,
     make_fit,
     normal_equations_ols,
     pi_weights_loop,
 )
-
-# (phi, theta, d) of the models the recursive filter is checked on
-FILTER_MODELS = {
-    "ar2": ((0.5, 0.3), (), 0),
-    "ma2": ((), (0.4, -0.3), 0),
-    "arma11": ((0.6,), (0.3,), 0),
-    "arima111": ((0.5,), (0.3,), 1),
-    "arima120": ((0.4,), (), 2),
-}
-
 
 class TestOls:
     def test_mean_regression(self):
@@ -402,7 +392,7 @@ class TestRecursiveFilterAgainstFir:
         fit = make_fit(phi=phi, d=d)
         pi = pi_weights(fit, 499)
         assert np.array_equal(pi.weights, pi_weights_loop(fit, 499).weights)
-        assert _signature_kernel(pi).size == len(phi) + d + 1
+        assert pi._support == len(phi) + d  # non-zero weights, the taps adjust_residuals touches
 
     def test_single_observation_passes_through(self):
         fit = make_fit(phi=(0.5,), theta=(0.3,), intercept=0.5)

@@ -22,19 +22,26 @@ from aoarima import (
     fit_arma_css,
     inject,
     joint_refit,
-    lambda_stat,
     ols,
-    omega_hat,
     pi_weights,
     scan,
     simulate,
-    tau_squared,
 )
 from aoarima.cli import read_series_csv
-from aoarima.outliers import OutlierRecord
+from aoarima.outliers import OutlierRecord, _stats_all_positions
 from aoarima.rng import normals
 
-from conftest import joint_refit_dense, make_fit
+from conftest import (
+    FILTER_MODELS,
+    joint_refit_dense,
+    lambda_stat,
+    make_fit,
+    omega_hat,
+    pi_weights_loop,
+    scan_omega,
+    scan_tau2,
+    tau_squared,
+)
 
 
 def signature_series(pi, n, T, omega):
@@ -52,15 +59,15 @@ DEMO_PHI = (0.2237, 0.4282)
 class TestTauSquared:
     def test_last_position_is_one(self):
         pi = pi_weights(make_fit(phi=(0.7,)), 19)
-        assert tau_squared(pi, 20, 20) == 1.0
+        assert scan_tau2(pi, 20, 20) == 1.0
 
     def test_next_to_last(self):
         pi = pi_weights(make_fit(phi=(0.7,)), 19)
-        assert tau_squared(pi, 20, 19) == pytest.approx(1.49)
+        assert scan_tau2(pi, 20, 19) == pytest.approx(1.49)
 
     def test_matches_bruteforce_sum(self):
         pi = pi_weights(make_fit(phi=DEMO_PHI), 199)
-        got = tau_squared(pi, 200, 1)
+        got = scan_tau2(pi, 200, 1)
         oracle = 1.0
         for j in range(1, 200):
             oracle += float(pi.weights[j - 1]) ** 2
@@ -78,7 +85,7 @@ class TestOmegaHat:
     def test_last_position_returns_residual(self):
         pi = pi_weights(make_fit(phi=(0.5,)), 9)
         e = TimeSeries(np.arange(1.0, 11.0))
-        assert omega_hat(e, pi, 10) == 10.0
+        assert scan_omega(e, pi, 10) == 10.0
 
     @pytest.mark.parametrize(
         "phi,theta,T",
@@ -88,7 +95,7 @@ class TestOmegaHat:
         fit = make_fit(phi=phi, theta=theta)
         pi = pi_weights(fit, 19)
         e = signature_series(pi, 20, T, 5.0)
-        assert omega_hat(e, pi, T) == pytest.approx(5.0, abs=1e-12)
+        assert scan_omega(e, pi, T) == pytest.approx(5.0, abs=1e-12)
 
     def test_equals_design_column_regression(self, rng):
         fit = make_fit(phi=DEMO_PHI)
@@ -99,7 +106,7 @@ class TestOmegaHat:
             T = int(rng.integers(1, n + 1))
             column = signature_series(pi, n, T, 1.0).values
             oracle = ols(column.reshape(-1, 1), e).coefficients[0]
-            assert omega_hat(TimeSeries(e), pi, T) == pytest.approx(oracle, abs=1e-10)
+            assert scan_omega(TimeSeries(e), pi, T) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestLambdaStat:
@@ -141,7 +148,7 @@ class TestScan:
         e[17] = 10.0
         T, om, lam = scan(TimeSeries(e), pi, sigma=1.0)
         assert T == 18
-        assert om == pytest.approx(10.0 / tau_squared(pi, 30, 18))
+        assert om == pytest.approx(10.0 / scan_tau2(pi, 30, 18))
 
     def test_planted_signature_found_reliably(self):
         fit = make_fit(phi=DEMO_PHI)
@@ -159,6 +166,39 @@ class TestScan:
         pi = pi_weights(make_fit(phi=(0.5,)), 9)
         with pytest.raises(EmptyScanError):
             scan(TimeSeries(np.zeros(10)), pi, sigma=1.0, margin=4)
+
+
+class TestStatsAllPositions:
+    """The backward recursive filter and the kept tau2 against the per-position oracles."""
+
+    @pytest.mark.parametrize("n", [50, 500, 2000])
+    @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+    def test_matches_per_position_oracles(self, name, n, rng):
+        phi, theta, d = FILTER_MODELS[name]
+        fit = make_fit(phi=phi, theta=theta, d=d)
+        e = TimeSeries(rng.normal(size=n))
+        want_tau2 = np.array([tau_squared(pi_weights(fit, n - 1), n, T) for T in range(1, n + 1)])
+        for pi in (pi_weights(fit, n - 1), pi_weights_loop(fit, n - 1)):  # filter, hand-built taps
+            want_num = np.array([omega_hat(e, pi, T) for T in range(1, n + 1)]) * want_tau2
+            num, tau2 = _stats_all_positions(e.values, pi)
+            assert np.max(np.abs(num - want_num)) <= 1e-12 * np.max(np.abs(want_num))
+            assert np.max(np.abs(tau2 - want_tau2)) <= 1e-12 * np.max(want_tau2)
+
+    def test_longer_weights_scan_a_shorter_series(self, rng):
+        fit = make_fit(phi=(0.5,), theta=(0.3,), d=1)
+        e = TimeSeries(rng.normal(size=30))
+        pi = pi_weights(fit, 99)
+        num, tau2 = _stats_all_positions(e.values, pi)
+        for T in (1, 15, 30):
+            assert tau2[T - 1] == pytest.approx(tau_squared(pi, 30, T), rel=1e-12)
+            assert num[T - 1] / tau2[T - 1] == pytest.approx(omega_hat(e, pi, T), abs=1e-12)
+
+    def test_too_few_weights_rejected(self):
+        pi = pi_weights(make_fit(phi=(0.5,)), 9)
+        with pytest.raises(ValueError):
+            _stats_all_positions(np.zeros(11), pi)
+        with pytest.raises(ValueError):
+            scan(TimeSeries(np.zeros(11)), pi, sigma=1.0)
 
 
 class TestAdjustResiduals:
