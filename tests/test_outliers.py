@@ -177,8 +177,8 @@ class TestStatsAllPositions:
         phi, theta, d = FILTER_MODELS[name]
         fit = make_fit(phi=phi, theta=theta, d=d)
         e = TimeSeries(rng.normal(size=n))
-        want_tau2 = np.array([tau_squared(pi_weights(fit, n - 1), n, T) for T in range(1, n + 1)])
         for pi in (pi_weights(fit, n - 1), pi_weights_loop(fit, n - 1)):  # filter, hand-built taps
+            want_tau2 = np.array([tau_squared(pi, n, T) for T in range(1, n + 1)])
             want_num = np.array([omega_hat(e, pi, T) for T in range(1, n + 1)]) * want_tau2
             num, tau2 = _stats_all_positions(e.values, pi)
             assert np.max(np.abs(num - want_num)) <= 1e-12 * np.max(np.abs(want_num))
@@ -250,6 +250,16 @@ class TestDetectIterative:
         signs = [math.copysign(1.0, r.omega_hat) for r in res.outliers]
         assert signs == [1.0, -1.0, 1.0]
         assert all(abs(r.lambda_hat) > 3.0 for r in res.outliers)
+
+    def test_record_tau2_is_the_signature_norm_at_its_position(self):
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
+        y = inject(z, InjectionPlan(points=((98, 8.0), (199, 10.0))))  # 199: one weight left
+        fit = fit_ar_ols(y, 2, with_intercept=True)
+        res = detect_iterative(y, fit, DetectionConfig())
+        assert {98, 199} <= {r.T for r in res.outliers}
+        pi = pi_weights(fit, 199)
+        for rec in res.outliers:
+            assert rec.tau2 == pytest.approx(tau_squared(pi, 200, rec.T), rel=1e-12)
 
     def test_sigma_trail_non_increasing(self):
         z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
