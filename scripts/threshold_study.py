@@ -44,7 +44,7 @@ PLAN = ((98, 8.0), (162, -8.0), (180, 6.0))
 
 def _known_fit() -> ArimaFit:
     return ArimaFit(
-        order=ArimaOrder(2, 0, 0), phi=PHI, theta=(), intercept=0.0, sigma2=1.0,
+        order=ArimaOrder(2, 0, 0), phi=PHI, theta=(), intercept=0.0, with_intercept=False, sigma2=1.0,
         residuals=TimeSeries([0.0]), coefficient_std_errors=(), sse=0.0, mse=1.0,
     )
 

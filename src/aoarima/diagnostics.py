@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateError, DomainError
 from .series import TimeSeries, acf
@@ -57,6 +56,8 @@ def chi_square_sf(x: float, df: int) -> float:
         raise DomainError("chi-square statistic cannot be negative")
     if df < 1:
         raise ValueError("degrees of freedom must be positive")
+    from scipy import special  # here, so that only the fit diagnostics load it
+
     return float(special.gammaincc(df / 2.0, x / 2.0))
 
 
@@ -122,6 +123,8 @@ def ks_normal(residuals: TimeSeries) -> TestResult:
     if sd == 0.0:
         raise DegenerateError("zero standard deviation; normality test undefined")
     z = (x - mu) / sd
+    from scipy import special
+
     cdf = special.ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)

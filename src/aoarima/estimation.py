@@ -11,6 +11,13 @@ that must not be conflated:
   residual count (the innovation-variance convention used by the outlier
   test statistic), and
 * ``mse`` -- the usual degree-of-freedom adjusted regression mean square.
+
+The AR path (OLS, the residual filter, the pi weights and the backward
+scan filter, all without feedback when q = 0) runs on numpy alone: its
+filters are truncated convolutions and its QR is numpy's bundled LAPACK.
+scipy is imported where it is first needed: ``scipy.signal`` for a
+recursive filter (an MA part, or the AR recursion of a simulation) and
+``scipy.optimize`` for the CSS solve.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg, optimize, signal  # scipy.optimize loads scipy.linalg
+from numpy.linalg import lapack_lite
 
 from .errors import (
     ConvergenceError,
@@ -89,14 +96,17 @@ class ArimaFit:
 
     ``phi`` and ``theta`` use the sign convention of the lag polynomials
     1 - phi_1 B - ... and 1 - theta_1 B - ...; ``intercept`` is the
-    regression constant (0 when suppressed). ``residuals`` are aligned so
-    their start index names the first observation they correspond to.
+    regression constant (0 when suppressed) and ``with_intercept`` says
+    whether the model has one, which a fitted constant of 0.0 cannot tell.
+    ``residuals`` are aligned so their start index names the first
+    observation they correspond to.
     """
 
     order: ArimaOrder
     phi: tuple
     theta: tuple
     intercept: float
+    with_intercept: bool
     sigma2: float
     residuals: TimeSeries
     coefficient_std_errors: tuple
@@ -191,14 +201,27 @@ def _warn_if_not_invertible(theta) -> None:
                       NonInvertibleWarning, stacklevel=3)
 
 
+def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x)`` with zero initial state, on numpy alone when a = [1].
+
+    Without feedback the filter is the truncated convolution, the very
+    ``np.convolve(b, x)`` scipy runs for it, so the result is bit for bit
+    scipy's; ``scipy.signal`` is imported only for a recursive filter.
+    """
+    if len(a) == 1 and a[0] == 1.0:
+        return np.convolve(b, x)[:x.size] if x.size else np.zeros(0)
+    from scipy import signal
+    return signal.lfilter(b, a, x)
+
+
 def ols(X: np.ndarray, y) -> OlsResult:
     """Least squares fit of y on the columns of X.
 
-    One Householder QR of [X | y] (LAPACK dgeqrf in place, no explicit Q)
-    that keeps only R, whose last column is Q^T y: beta solves
-    R beta = (Q^T y)[:cols] and the residual sum of squares is the squared
-    bottom corner. The factor rides on the result for
-    :func:`~aoarima.outliers.joint_refit`.
+    One Householder QR of [X | y] (dgeqrf from the LAPACK bundled with
+    numpy, in place, no explicit Q) that keeps only R, whose last column
+    is Q^T y: beta solves R beta = (Q^T y)[:cols] and the residual sum of
+    squares is the squared bottom corner. The factor rides on the result
+    for :func:`~aoarima.outliers.joint_refit`.
     Raises :class:`RankError` when the system is underdetermined or the
     design is rank deficient (pivot ratio below 1e-10).
     """
@@ -211,9 +234,14 @@ def ols(X: np.ndarray, y) -> OlsResult:
         raise ValueError("y length must match the row count of X")
     if rows <= cols:
         raise RankError(f"underdetermined system: {rows} rows for {cols} coefficients")
-    xy = np.empty((rows, cols + 1), order="F")  # LAPACK's layout: factored in place, no copies
-    xy[:, :cols], xy[:, cols] = X, y
-    r = np.triu(linalg.lapack.dgeqrf(xy, overwrite_a=True)[0][:cols + 1])
+    k = cols + 1
+    xy = np.empty((k, rows))  # C-ordered (k, rows) is LAPACK's column-major (rows, k)
+    xy[:cols], xy[cols] = X.T, y
+    lwork = 3 * k  # scipy's default workspace, so the blocking choice matches it
+    info = lapack_lite.dgeqrf(rows, k, xy, rows, np.empty(k), np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
+    r = np.triu(xy[:, :k].T)
     pivots = np.abs(np.diag(r)[:cols])
     if pivots.size == 0 or pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0:
         raise RankError("design matrix is rank deficient")
@@ -268,6 +296,7 @@ def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> Arima
         phi=phi,
         theta=(),
         intercept=float(intercept),
+        with_intercept=with_intercept,
         sigma2=float(sigma2),
         residuals=residuals,
         coefficient_std_errors=res.std_errors,
@@ -344,7 +373,7 @@ def _css_residuals(w: np.ndarray, mean: float, phi: np.ndarray, theta: np.ndarra
     if q == 0:
         return u
     # a_t = u_t + theta_1 a_{t-1} + ... + theta_q a_{t-q}, zero initial state
-    return signal.lfilter([1.0], _lag_poly(theta), u)
+    return _lfilter([1.0], _lag_poly(theta), u)
 
 
 def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
@@ -360,6 +389,7 @@ def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
     cols = [np.full(n, phi.sum() - 1.0)] if with_intercept else []
     cols += [-wt[p - i:wt.size - i] for i in range(1, p + 1)]
     cols += [np.concatenate([np.zeros(j), a[:n - j]]) for j in range(1, theta.size + 1)]
+    from scipy import signal
     return signal.lfilter([1.0], _lag_poly(theta), np.column_stack(cols), axis=0)
 
 
@@ -380,6 +410,8 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     Standard errors come from the same Jacobian at the optimum, taken in
     the reported (intercept, phi, theta) coordinates.
     """
+    from scipy import optimize
+
     p, d, q = order.p, order.d, order.q
     if p + q < 1:
         raise ValueError("need p + q >= 1 to fit a model")
@@ -450,6 +482,7 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         phi=phi,
         theta=theta,
         intercept=float(intercept),
+        with_intercept=with_intercept,
         sigma2=sse / a.size,
         residuals=TimeSeries(a, start_index=w.start_index + p),
         coefficient_std_errors=std,
@@ -487,7 +520,7 @@ def pi_weights(fit: ArimaFit, m: int) -> PiWeights:
         poly = np.convolve(poly, [1.0, -1.0])
     filt = (poly, _lag_poly(fit.theta))
     impulse = np.concatenate([[1.0], np.zeros(m)])
-    pi = PiWeights(weights=-signal.lfilter(*filt, impulse)[1:], m=m)
+    pi = PiWeights(weights=-_lfilter(*filt, impulse)[1:], m=m)
     object.__setattr__(pi, "_filter", filt)  # not a field: equality and repr ignore it
     return pi
 
@@ -505,7 +538,7 @@ def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
     """
     _warn_if_not_invertible(fit.theta)
     w = difference(series, fit.order.d)
-    e = signal.lfilter(_lag_poly(fit.phi), _lag_poly(fit.theta), w.values - fit.process_mean)
+    e = _lfilter(_lag_poly(fit.phi), _lag_poly(fit.theta), w.values - fit.process_mean)
     return TimeSeries(e, start_index=w.start_index)
 
 
@@ -517,7 +550,7 @@ def _filter_backward(e: np.ndarray, pi: PiWeights) -> np.ndarray:
     Weights built by hand have no filter and run as their own taps.
     """
     filt = getattr(pi, "_filter", None) or (_lag_poly(pi.weights[:pi._support]), [1.0])
-    return signal.lfilter(*filt, e[::-1])[::-1]
+    return _lfilter(*filt, e[::-1])[::-1]
 
 
 def sigma_hat(residuals: TimeSeries) -> float:

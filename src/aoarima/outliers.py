@@ -258,8 +258,8 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     indicators in detection order form ``mse_trail``; they come from the
     final regression's one QR decomposition, updated a row at a time.
 
-    The intercept convention of ``fit`` is carried through: a zero
-    intercept is treated as an intercept-free model.
+    Every model fitted here has an intercept exactly when ``fit`` has one
+    (``fit.with_intercept``).
     """
     if config is None:
         config = DetectionConfig()
@@ -269,7 +269,6 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
         raise DomainError(
             f"max_outliers {config.max_outliers} exceeds n/5 = {cap}; lower it to avoid overfitting"
         )
-    with_intercept = fit.intercept != 0.0
     current_fit = fit
     d = fit.order.d
     n_e = n - d
@@ -316,7 +315,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
             )
         if config.refit_each_iteration:
             corrected_now = correct_series(series, records)
-            current_fit = fit_arima(corrected_now, fit.order, with_intercept)
+            current_fit = fit_arima(corrected_now, fit.order, fit.with_intercept)
             pi = pi_weights(current_fit, n_e - 1)
             e = filter_residuals(series, current_fit)
             for rec in records:
@@ -331,11 +330,11 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
 
     corrected = correct_series(series, records)
     if fit.order.q == 0 and fit.order.d == 0:
-        final_fit = joint_refit(series, [rec.T for rec in records], fit.order.p, with_intercept)
+        final_fit = joint_refit(series, [rec.T for rec in records], fit.order.p, fit.with_intercept)
         k = len(records)
         mse_trail = tuple(v / (final_fit.df_residual + k - j) for j, v in enumerate(final_fit._nested_sse))
     else:
-        final_fit = fit_arima(corrected, fit.order, with_intercept)
+        final_fit = fit_arima(corrected, fit.order, fit.with_intercept)
         mse_trail = (fit.mse, final_fit.mse)
 
     return DetectionResult(

@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from . import rng
 from .errors import StabilityError
-from .estimation import ArimaOrder, min_ar_root_modulus, min_ma_root_modulus
+from .estimation import ArimaOrder, _lfilter, min_ar_root_modulus, min_ma_root_modulus
 from .series import TimeSeries
 
 __all__ = ["SimSpec", "InjectionPlan", "simulate", "inject", "demo_dataset", "DEMO_SEED"]
@@ -97,7 +96,7 @@ def simulate(spec: SimSpec) -> TimeSeries:
         s[j:] -= th * a[:-j]
     s += spec.intercept
     if phi.size:
-        x = signal.lfilter([1.0], np.concatenate([[1.0], -phi]), s)
+        x = _lfilter([1.0], np.concatenate([[1.0], -phi]), s)
     else:
         x = s
     x = x[spec.effective_burn_in:]

@@ -35,13 +35,14 @@ FILTER_MODELS = {
 }
 
 
-def make_fit(phi=(), theta=(), d=0, intercept=0.0, sigma2=1.0):
+def make_fit(phi=(), theta=(), d=0, intercept=0.0, sigma2=1.0, with_intercept=False):
     """An ArimaFit carrying given coefficients, for weight and filter tests."""
     return ArimaFit(
         order=ArimaOrder(len(phi), d, len(theta)),
         phi=tuple(phi),
         theta=tuple(theta),
         intercept=intercept,
+        with_intercept=with_intercept,
         sigma2=sigma2,
         residuals=TimeSeries([0.0]),
         coefficient_std_errors=(),

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import aoarima
 from aoarima import ParseError
 from aoarima.cli import (
     EXIT_INPUT,
@@ -225,3 +228,36 @@ class TestSimulateCommand:
         out = tmp_path / "s.csv"
         main(["simulate", "--n", "5", "--seed", "3", "--output", str(out)])
         assert out.read_text().splitlines()[0] == "value"
+
+
+# Run in a fresh interpreter: the import state of the test process says nothing.
+COLD_PATH = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def no_scipy(step):
+    mods = scipy_modules()
+    assert not mods, f"{step} loaded {len(mods)} scipy modules: {mods[:5]} ..."
+
+csv, out = sys.argv[1:]
+import aoarima
+no_scipy("import aoarima")
+import aoarima.cli
+assert aoarima.cli.main(["detect", "--input", csv, "--order", "2,0,0", "--output", out]) == 0
+no_scipy("an AR detect")
+assert aoarima.cli.main(["fit", "--input", csv, "--order", "1,0,1", "--output", out]) == 0
+assert scipy_modules(), "an MA fit ran without scipy"
+"""
+
+
+class TestColdPath:
+    def test_ar_detect_loads_no_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(aoarima.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_PATH, demo_csv(), str(tmp_path / "report.txt")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

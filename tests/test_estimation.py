@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg, optimize, signal
 
 from aoarima import (
     ArimaOrder,
@@ -23,10 +24,15 @@ from aoarima import (
     sigma_hat,
     yule_walker,
 )
-from aoarima import acf, demo_dataset, estimation
+from aoarima import acf, demo_dataset, difference
 from aoarima.estimation import (
+    PiWeights,
     _css_residuals,
+    _filter_backward,
     _from_pacf,
+    _lag_poly,
+    _lagged_design,
+    _lfilter,
     min_ar_root_modulus,
     min_ma_root_modulus,
 )
@@ -226,8 +232,8 @@ class TestFitArmaCss:
         assert compared >= 4
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
-        real = estimation.optimize.least_squares
-        monkeypatch.setattr(estimation.optimize, "least_squares",
+        real = optimize.least_squares  # fit_arma_css imports scipy.optimize when it runs
+        monkeypatch.setattr(optimize, "least_squares",
                             lambda *args, **kw: real(*args, **{**kw, "max_nfev": 1}))
         y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=3, phi=(0.5,), theta=(0.3,)))
         with pytest.raises(ConvergenceError):
@@ -367,7 +373,7 @@ class TestRecursiveFilterAgainstFir:
         phi, theta, d = FILTER_MODELS[name]
         y = simulate(SimSpec(order=ArimaOrder(len(phi), d, len(theta)), n=n, seed=n + d,
                              phi=phi, theta=theta, intercept=0.4))
-        return y, make_fit(phi=phi, theta=theta, d=d, intercept=0.4)
+        return y, make_fit(phi=phi, theta=theta, d=d, intercept=0.4, with_intercept=True)
 
     @pytest.mark.parametrize("n", [50, 500])
     @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
@@ -395,8 +401,65 @@ class TestRecursiveFilterAgainstFir:
         assert pi._support == len(phi) + d  # non-zero weights, the taps adjust_residuals touches
 
     def test_single_observation_passes_through(self):
-        fit = make_fit(phi=(0.5,), theta=(0.3,), intercept=0.5)
+        fit = make_fit(phi=(0.5,), theta=(0.3,), intercept=0.5, with_intercept=True)
         assert filter_residuals(TimeSeries([3.0]), fit).values.tolist() == [2.0]
+
+
+class TestNumpyPathAgainstScipy:
+    """The numpy-only AR path against the scipy calls it replaced, bit for bit."""
+
+    AR_MODELS = sorted(name for name, (_, theta, _) in FILTER_MODELS.items() if not theta)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 50, 2000])  # shorter than, as long as, longer than the filter
+    @pytest.mark.parametrize("name", AR_MODELS)
+    def test_fir_filters_equal_lfilter(self, name, n):
+        phi, _, d = FILTER_MODELS[name]
+        fit = make_fit(phi=phi, d=d, intercept=0.4, with_intercept=True)
+        x = simulate(SimSpec(order=ArimaOrder(len(phi), 0, 0), n=n, seed=n, phi=phi, intercept=0.4))
+        pi = pi_weights(fit, n - 1)
+        impulse = np.concatenate([[1.0], np.zeros(n - 1)])
+        assert np.array_equal(pi.weights, -signal.lfilter(*pi._filter, impulse)[1:])
+        w = difference(x, d).values - fit.process_mean
+        assert np.array_equal(filter_residuals(x, fit).values, signal.lfilter(_lag_poly(phi), [1.0], w))
+        e = x.values
+        assert np.array_equal(_filter_backward(e, pi), signal.lfilter(*pi._filter, e[::-1])[::-1])
+
+    @pytest.mark.parametrize("weights", [(0.7,), (0.5, 0.3), (0.4, 0.0, -0.2, 0.0, 0.0), (0.0, 0.0)])
+    def test_backward_filter_of_hand_built_weights(self, weights):
+        pi = PiWeights(weights=weights, m=len(weights))
+        for n in range(1, len(weights) + 2):
+            e = np.random.default_rng(n).normal(size=n)
+            want = signal.lfilter(_lag_poly(pi.weights[:pi._support]), [1.0], e[::-1])[::-1]
+            assert np.array_equal(_filter_backward(e, pi), want)
+
+    def test_one_value_and_empty_series(self):
+        fit = make_fit(phi=(0.5, 0.3), intercept=0.5, with_intercept=True)
+        got = filter_residuals(TimeSeries([3.0]), fit).values
+        assert np.array_equal(got, signal.lfilter([1.0, -0.5, -0.3], [1.0], [3.0 - fit.process_mean]))
+        assert _lfilter([1.0, -0.5], [1.0], np.zeros(0)).size == 0
+
+    @staticmethod
+    def _scipy_r(X, y):
+        xy = np.asfortranarray(np.column_stack([X, y]))
+        return np.triu(linalg.lapack.dgeqrf(xy, overwrite_a=True)[0][:X.shape[1] + 1])
+
+    @pytest.mark.parametrize("source", ["demo", "ar2_n20000"])
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_ols_factor_equals_scipy_dgeqrf(self, source, with_intercept):
+        if source == "demo":
+            x = demo_dataset()[0]
+        else:
+            x = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=20_000, seed=20_000, phi=(0.5, 0.3)))
+        X, y = _lagged_design(x.values, 2, with_intercept)
+        res = ols(X, y)
+        assert np.array_equal(res._r, self._scipy_r(X, y))
+        assert np.array_equal(ols(np.ascontiguousarray(X), y)._r, res._r)
+
+    def test_ols_still_raises_on_rank_deficient_design(self):
+        x = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=20_000, seed=20_000, phi=(0.5, 0.3)))
+        X, y = _lagged_design(x.values, 2, True)
+        with pytest.raises(RankError):
+            ols(np.column_stack([X, 2.0 * X[:, 1]]), y)
 
 
 class TestSigmaHat:

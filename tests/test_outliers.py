@@ -261,6 +261,17 @@ class TestDetectIterative:
         for rec in res.outliers:
             assert rec.tau2 == pytest.approx(tau_squared(pi, 200, rec.T), rel=1e-12)
 
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_intercept_flag_is_not_read_off_a_zero_constant(self, with_intercept):
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
+        y = inject(z, InjectionPlan(points=((98, 8.0), (162, -8.0), (180, 6.0))))
+        fit = make_fit(phi=DEMO_PHI, intercept=0.0, with_intercept=with_intercept)
+        res = detect_iterative(y, fit, DetectionConfig())
+        times = [r.T for r in res.outliers]
+        assert len(res.final_fit.coefficients) == with_intercept + 2 + len(times) > 2
+        want = joint_refit(y, times, 2, with_intercept)
+        assert (res.final_fit.coefficients, res.final_fit.std_errors) == (want.coefficients, want.std_errors)
+
     def test_sigma_trail_non_increasing(self):
         z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
         y = inject(z, InjectionPlan(points=((98, 8.0), (162, -8.0), (180, 6.0))))
