@@ -255,7 +255,8 @@ assert scipy_modules(), "an MA fit ran without scipy"
 class TestColdPath:
     def test_ar_detect_loads_no_scipy(self, tmp_path):
         src = os.path.dirname(os.path.dirname(aoarima.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-c", COLD_PATH, demo_csv(), str(tmp_path / "report.txt")],
             capture_output=True, text=True, env=env, timeout=120,
