@@ -84,12 +84,15 @@ def difference(series: TimeSeries, d: int) -> TimeSeries:
 
     d = 1 gives x_t - x_{t-1}; d = 2 gives x_t - 2 x_{t-1} + x_{t-2}.
     The start index shifts by d so that each output value keeps the label
-    of the latest observation entering it.
+    of the latest observation entering it. d = 0 returns ``series`` itself
+    (a TimeSeries is immutable, so no copy is needed).
     """
     if d < 0:
         raise ValueError("d must be non-negative")
     if series.n <= d:
         raise LengthError(f"cannot difference {series.n} observations {d} times")
+    if d == 0:
+        return series
     out = series.values
     for _ in range(d):
         out = out[1:] - out[:-1]

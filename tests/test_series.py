@@ -63,6 +63,7 @@ class TestDifference:
     def test_zero_is_identity(self):
         ts = TimeSeries([1.0, 2.0])
         assert difference(ts, 0).values.tolist() == [1.0, 2.0]
+        assert difference(ts, 0) is ts  # no copy of an immutable series
 
     def test_too_short(self):
         with pytest.raises(LengthError):
