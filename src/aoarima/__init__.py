@@ -1,114 +1,18 @@
-"""ARIMA modeling with iterative additive-outlier detection and correction."""
+"""ARIMA modeling with iterative additive-outlier detection and correction.
 
-from .diagnostics import (
-    ComparisonTable,
-    TestResult,
-    chi_square_sf,
-    comparison_table,
-    ks_normal,
-    ljung_box,
-)
-from .errors import (
-    AoArimaError,
-    ArityError,
-    ConvergenceError,
-    CriticalValueWarning,
-    DegenerateError,
-    DomainError,
-    EmptyScanError,
-    LengthError,
-    NonInvertibleWarning,
-    NonStationaryWarning,
-    ParseError,
-    RankError,
-    SingularError,
-    StabilityError,
-)
-from .estimation import (
-    ArimaFit,
-    ArimaOrder,
-    OlsResult,
-    PiWeights,
-    filter_residuals,
-    fit_ar_ols,
-    fit_arima,
-    fit_arma_css,
-    ols,
-    pi_weights,
-    sigma_hat,
-    yule_walker,
-)
-from .outliers import (
-    DetectionConfig,
-    DetectionResult,
-    OutlierRecord,
-    adjust_residuals,
-    correct_series,
-    detect_iterative,
-    joint_refit,
-    scan,
-)
-from .series import (
-    TimeSeries,
-    acf,
-    difference,
-    integrate,
-    pacf,
-)
-from .simulate import DEMO_SEED, InjectionPlan, SimSpec, demo_dataset, inject, simulate
+The package exports the ``__all__`` of each of its modules below.
+"""
+
+from . import diagnostics, errors, estimation, outliers, series
+from . import simulate as _simulate  # the function of the same name replaces the module below
+from .diagnostics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimation import *  # noqa: F401,F403
+from .outliers import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TimeSeries",
-    "difference",
-    "integrate",
-    "acf",
-    "pacf",
-    "ArimaOrder",
-    "ArimaFit",
-    "PiWeights",
-    "OlsResult",
-    "ols",
-    "fit_ar_ols",
-    "fit_arma_css",
-    "fit_arima",
-    "yule_walker",
-    "pi_weights",
-    "filter_residuals",
-    "sigma_hat",
-    "DetectionConfig",
-    "OutlierRecord",
-    "DetectionResult",
-    "scan",
-    "adjust_residuals",
-    "detect_iterative",
-    "correct_series",
-    "joint_refit",
-    "TestResult",
-    "ComparisonTable",
-    "ljung_box",
-    "ks_normal",
-    "chi_square_sf",
-    "comparison_table",
-    "SimSpec",
-    "InjectionPlan",
-    "simulate",
-    "inject",
-    "demo_dataset",
-    "DEMO_SEED",
-    "AoArimaError",
-    "LengthError",
-    "ArityError",
-    "DomainError",
-    "DegenerateError",
-    "SingularError",
-    "RankError",
-    "ConvergenceError",
-    "StabilityError",
-    "EmptyScanError",
-    "ParseError",
-    "NonStationaryWarning",
-    "NonInvertibleWarning",
-    "CriticalValueWarning",
-]
+__all__ = [name for module in (diagnostics, errors, estimation, outliers, series, _simulate)
+           for name in module.__all__]

@@ -3,8 +3,9 @@
 Input CSVs carry one numeric column named ``value`` (header optional) or
 two columns ``t,value``; decimal points only. Reports are emitted as
 text, JSON (schema documented in the README, ``schema_version`` 1), or
-CSV tables. All file writes go through a temp-file-then-rename so a
-crash never leaves a half-written report.
+CSV tables. File writes go through a temp-file-then-rename onto the
+resolved path, so a crash never leaves a half-written report; a device
+or a pipe at that path is written in place.
 
 Exit codes: 0 success, 2 input error, 3 model or math error,
 4 internal invariant violation.
@@ -44,6 +45,11 @@ def _note(msg: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    path = os.path.realpath(path)  # replace a link's target, not the link
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe: write in place
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -221,7 +227,7 @@ def _final_model_summary(result: DetectionResult) -> dict:
     final = result.final_fit
     if isinstance(final, ArimaFit):
         out = _model_summary(final)
-        out["kind"] = "arima_css"
+        out["kind"] = "arima_css" if final.order.q else "arima_ols"
         return out
     k = len(result.outliers)
     coeffs = [float(c) for c in final.coefficients]

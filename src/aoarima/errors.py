@@ -1,5 +1,11 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "AoArimaError", "LengthError", "ArityError", "DomainError", "DegenerateError",
+    "SingularError", "RankError", "ConvergenceError", "StabilityError", "EmptyScanError",
+    "ParseError", "NonStationaryWarning", "NonInvertibleWarning", "CriticalValueWarning",
+]
+
 
 class AoArimaError(Exception):
     """Base class for all errors raised by this package."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -54,8 +54,6 @@ __all__ = [
     "pi_weights",
     "filter_residuals",
     "sigma_hat",
-    "min_ar_root_modulus",
-    "min_ma_root_modulus",
 ]
 
 _ROOT_TOL = 1e-8
@@ -126,31 +124,35 @@ class ArimaFit:
 
 @dataclass(frozen=True)
 class PiWeights:
-    """Truncated weights of the autoregressive (infinite-order) representation.
+    """The first m weights of the autoregressive (infinite-order) representation.
 
-    ``weights[j-1]`` is pi_j in pi(B) = 1 - pi_1 B - pi_2 B^2 - ...; the
-    implicit pi_0 is 1. Weights from :func:`pi_weights` also carry the
-    recursive filter they are the impulse response of, the one
-    :func:`filter_residuals` runs; the outlier scan runs it backwards.
+    ``ar`` and ``ma`` are the lag polynomials of the recursive filter
+    ar(B) / ma(B), the one :func:`filter_residuals` runs and the outlier
+    scan runs backwards. The rest is built once from them, for all scans:
+    ``weights[j-1]`` is pi_j in pi(B) = 1 - pi_1 B - pi_2 B^2 - ..., the
+    negated impulse response (the implicit pi_0 is 1); ``support`` counts
+    the weights up to the last non-zero one; and ``tau2[s]`` is
+    1 + pi_1^2 + ... + pi_{m-s}^2, the squared signature norm at 0-based
+    position s of an (m + 1)-long series.
     """
 
-    weights: np.ndarray
+    ar: np.ndarray
+    ma: np.ndarray
     m: int
+    weights: np.ndarray = field(init=False)
+    support: int = field(init=False)
+    tau2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.size != self.m:
-            raise ValueError("weight count must equal the truncation length m")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        # built once for all scans: the weights up to the last non-zero one, and
-        # 1 + pi_1^2 + ... + pi_{m-s}^2 at position s of an (m + 1)-long series
-        object.__setattr__(self, "_support", int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0)
+        impulse = np.concatenate([[1.0], np.zeros(self.m)])
+        w = -_lfilter(self.ar, self.ma, impulse)[1:]
         tau2 = np.ones(self.m + 1)
         tau2[:-1] += np.cumsum(w * w)[::-1]
-        tau2.flags.writeable = False
-        object.__setattr__(self, "_tau2", tau2)
+        for name, value in (("ar", self.ar), ("ma", self.ma), ("weights", w), ("tau2", tau2)):
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "support", int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0)
 
 
 def _lag_poly(coeffs) -> np.ndarray:
@@ -193,12 +195,6 @@ def _warn_on_roots(phi, theta) -> None:
             NonInvertibleWarning,
             stacklevel=3,
         )
-
-
-def _warn_if_not_invertible(theta) -> None:
-    if min_ma_root_modulus(theta) <= 1.0 + _ROOT_TOL:
-        warnings.warn("MA polynomial is not invertible; the weight expansion may diverge",
-                      NonInvertibleWarning, stacklevel=3)
 
 
 def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
@@ -481,22 +477,17 @@ def pi_weights(fit: ArimaFit, m: int) -> PiWeights:
 
     Includes the differencing operator: the weights expand
     phi(B) (1-B)^d / theta(B). They are the impulse response of that
-    recursive filter, the one :func:`filter_residuals` runs, and the
-    filter rides on the result for the outlier scan, which runs it
-    backwards. For q = 0 the filter has no feedback, so the weights beyond
-    p + d are exact zeros.
+    recursive filter, the one :func:`filter_residuals` runs; the outlier
+    scan runs it backwards. For q = 0 the filter has no feedback, so the
+    weights beyond p + d are exact zeros.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    _warn_if_not_invertible(fit.theta)
+    _warn_on_roots((), fit.theta)
     poly = _lag_poly(fit.phi)
     for _ in range(fit.order.d):
         poly = np.convolve(poly, [1.0, -1.0])
-    filt = (poly, _lag_poly(fit.theta))
-    impulse = np.concatenate([[1.0], np.zeros(m)])
-    pi = PiWeights(weights=-_lfilter(*filt, impulse)[1:], m=m)
-    object.__setattr__(pi, "_filter", filt)  # not a field: equality and repr ignore it
-    return pi
+    return PiWeights(poly, _lag_poly(fit.theta), m)
 
 
 def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
@@ -510,7 +501,7 @@ def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
     so far; downstream consumers should treat them as conditioning values
     rather than genuine one-step errors.
     """
-    _warn_if_not_invertible(fit.theta)
+    _warn_on_roots((), fit.theta)
     w = difference(series, fit.order.d)
     e = _lfilter(_lag_poly(fit.phi), _lag_poly(fit.theta), w.values - fit.process_mean)
     return TimeSeries(e, start_index=w.start_index)
@@ -519,12 +510,10 @@ def filter_residuals(series: TimeSeries, fit: ArimaFit) -> TimeSeries:
 def _filter_backward(e: np.ndarray, pi: PiWeights) -> np.ndarray:
     """e[s] - pi_1 e[s+1] - ... - pi_{n-1-s} e[n-1]: pi(F) applied to e, F the forward shift.
 
-    That is the filter of :func:`pi_weights` run over the reversed series,
-    whose zero initial state cuts each sum at the end of the series.
-    Weights built by hand have no filter and run as their own taps.
+    That is the filter of the weights run over the reversed series, whose
+    zero initial state cuts each sum at the end of the series.
     """
-    filt = getattr(pi, "_filter", None) or (_lag_poly(pi.weights[:pi._support]), [1.0])
-    return _lfilter(*filt, e[::-1])[::-1]
+    return _lfilter(pi.ar, pi.ma, e[::-1])[::-1]
 
 
 def sigma_hat(residuals: TimeSeries) -> float:

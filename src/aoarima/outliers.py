@@ -139,34 +139,28 @@ def _stats_all_positions(e: np.ndarray, pi: PiWeights) -> tuple[np.ndarray, np.n
     n = e.size
     if n > pi.m + 1:
         raise ValueError(f"{pi.m} weights cannot scan a series of {n} values; need m >= n - 1")
-    return _filter_backward(e, pi), pi._tau2[pi.m + 1 - n:]
+    return _filter_backward(e, pi), pi.tau2[pi.m + 1 - n:]
 
 
-def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0,
-         end_margin: int | None = None) -> tuple[int, float, float]:
+def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0) -> tuple[int, float, float]:
     """Position with the largest absolute standardized statistic.
 
-    Scans positions ``1 + margin .. n - end_margin`` (``end_margin``
-    defaults to ``margin``); ties break toward the smallest position.
-    ``pi`` needs at least n - 1 weights. Returns ``(T, omega, lambda)``.
+    Scans positions ``1 + margin .. n``, up to the final observation; ties
+    break toward the smallest position. ``pi`` needs at least n - 1
+    weights. Returns ``(T, omega, lambda)``.
     """
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    if end_margin is None:
-        end_margin = margin
-    if margin < 0 or end_margin < 0:
-        raise ValueError("margins must be non-negative")
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
     n = e.n
-    lo = margin  # 0-based first scannable
-    hi = n - end_margin  # 0-based exclusive end
-    if hi - lo < 3:
+    if n - margin < 3:
         raise EmptyScanError(
-            f"scan window [{lo + 1}, {hi}] has {max(hi - lo, 0)} positions; need at least 3"
+            f"scan window [{margin + 1}, {n}] has {max(n - margin, 0)} positions; need at least 3"
         )
     num, tau2 = _stats_all_positions(e.values, pi)
     lam = num / (np.sqrt(tau2) * sigma)
-    window = np.abs(lam[lo:hi])
-    s = lo + int(np.argmax(window))
+    s = margin + int(np.argmax(np.abs(lam[margin:])))
     return s + 1, float(num[s] / tau2[s]), float(lam[s])
 
 
@@ -180,7 +174,7 @@ def adjust_residuals(e: TimeSeries, omega: float, pi: PiWeights, T: int) -> Time
     n = e.n
     if T < 1 or T > n:
         raise IndexError(f"position {T} outside [1, {n}]")
-    k = min(pi._support, n - T)
+    k = min(pi.support, n - T)
     out = e.values.copy()
     out[T - 1] -= omega
     out[T:T + k] += omega * pi.weights[:k]
@@ -294,7 +288,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
         iterations += 1
         sigma = math.sqrt(sig2)
         sigma_trail.append(sigma)
-        pos, omega, lam = scan(e, pi, sigma, margin=margin, end_margin=0)
+        pos, omega, lam = scan(e, pi, sigma, margin)
         if abs(lam) <= config.critical_value:
             terminated = "no_candidate"
             break
@@ -310,7 +304,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
                     omega_hat=omega,
                     lambda_hat=lam,
                     iteration=iterations,
-                    tau2=float(pi._tau2[pi.m + pos - e.n]),
+                    tau2=float(pi.tau2[pi.m + pos - e.n]),
                 )
             )
         if config.refit_each_iteration:

@@ -17,7 +17,7 @@ from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
 from aoarima.errors import DegenerateError, DomainError, SingularError
-from aoarima.estimation import _css_residuals, min_ar_root_modulus
+from aoarima.estimation import _css_residuals, _lag_poly, min_ar_root_modulus
 from aoarima.outliers import _stats_all_positions
 
 # keep property tests reproducible run to run
@@ -145,7 +145,7 @@ def pi_weights_loop(fit, m):
         for i in range(1, min(k - 1, q) + 1):
             acc += theta[i] * w[k - i]
         w[k] = acc
-    return PiWeights(weights=w[1:], m=m)
+    return PiWeights(_lag_poly(w[1:]), [1.0], m)  # an FIR filter: its impulse response is w
 
 
 def filter_residuals_fir(series, fit):

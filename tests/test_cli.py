@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from importlib import resources
 
 import numpy as np
@@ -190,6 +192,43 @@ class TestDetectCommand:
         assert code == EXIT_INPUT
         assert "error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["D"]
+
+    def test_output_symlink_stays_a_link_to_the_report(self, tmp_path):
+        target, link, plain = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "plain.json"
+        target.write_text("old report\n")
+        link.symlink_to(target)
+        args = ["detect", "--input", demo_csv(), "--order", "2,0,0", "--format", "json"]
+        assert main(args + ["--output", str(link)]) == EXIT_OK
+        assert main(args + ["--output", str(plain)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "plain.json", "target.json"]
+
+    def test_output_fifo_is_written_in_place(self, tmp_path):
+        fifo, plain = tmp_path / "pipe", tmp_path / "plain.txt"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        args = ["detect", "--input", demo_csv(), "--order", "2,0,0"]
+        assert main(args + ["--output", str(fifo)]) == EXIT_OK
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "nothing was written to the pipe"
+        assert main(args + ["--output", str(plain)]) == EXIT_OK
+        assert got == [plain.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.parametrize("order, kind", [
+        ("2,1,0", "arima_ols"),  # differenced pure AR: an OLS refit on the corrected series
+        ("1,1,1", "arima_css"),
+        ("2,0,0", "joint_ols"),
+    ])
+    def test_final_model_kind_names_its_estimator(self, tmp_path, order, kind):
+        out = tmp_path / "detect.json"
+        code = main(["detect", "--input", demo_csv(), "--order", order, "--format", "json",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["final_model"]["kind"] == kind
 
     def test_golden_report_bytes(self, tmp_path):
         golden = os.path.join(os.path.dirname(__file__), "data", "detect_golden.json")

@@ -410,7 +410,7 @@ class TestRecursiveFilterAgainstFir:
         fit = make_fit(phi=phi, d=d)
         pi = pi_weights(fit, 499)
         assert np.array_equal(pi.weights, pi_weights_loop(fit, 499).weights)
-        assert pi._support == len(phi) + d  # non-zero weights, the taps adjust_residuals touches
+        assert pi.support == len(phi) + d  # non-zero weights, the taps adjust_residuals touches
 
     def test_single_observation_passes_through(self):
         fit = make_fit(phi=(0.5,), theta=(0.3,), intercept=0.5, with_intercept=True)
@@ -430,18 +430,19 @@ class TestNumpyPathAgainstScipy:
         x = simulate(SimSpec(order=ArimaOrder(len(phi), 0, 0), n=n, seed=n, phi=phi, intercept=0.4))
         pi = pi_weights(fit, n - 1)
         impulse = np.concatenate([[1.0], np.zeros(n - 1)])
-        assert np.array_equal(pi.weights, -signal.lfilter(*pi._filter, impulse)[1:])
+        assert np.array_equal(pi.weights, -signal.lfilter(pi.ar, pi.ma, impulse)[1:])
         w = difference(x, d).values - fit.process_mean
         assert np.array_equal(filter_residuals(x, fit).values, signal.lfilter(_lag_poly(phi), [1.0], w))
         e = x.values
-        assert np.array_equal(_filter_backward(e, pi), signal.lfilter(*pi._filter, e[::-1])[::-1])
+        assert np.array_equal(_filter_backward(e, pi), signal.lfilter(pi.ar, pi.ma, e[::-1])[::-1])
 
     @pytest.mark.parametrize("weights", [(0.7,), (0.5, 0.3), (0.4, 0.0, -0.2, 0.0, 0.0), (0.0, 0.0)])
     def test_backward_filter_of_hand_built_weights(self, weights):
-        pi = PiWeights(weights=weights, m=len(weights))
+        pi = PiWeights(_lag_poly(weights), [1.0], len(weights))
+        assert np.array_equal(pi.weights, weights)
         for n in range(1, len(weights) + 2):
             e = np.random.default_rng(n).normal(size=n)
-            want = signal.lfilter(_lag_poly(pi.weights[:pi._support]), [1.0], e[::-1])[::-1]
+            want = signal.lfilter(pi.ar, pi.ma, e[::-1])[::-1]
             assert np.array_equal(_filter_backward(e, pi), want)
 
     def test_one_value_and_empty_series(self):

@@ -158,14 +158,14 @@ class TestScan:
         hits = 0
         for s in range(200):
             e = TimeSeries(normals(7000 + s, n) + sig)
-            T, _, _ = scan(e, pi, sigma=1.0, margin=2, end_margin=0)
+            T, _, _ = scan(e, pi, sigma=1.0, margin=2)
             hits += T == 98
         assert hits >= 198
 
     def test_window_too_small(self):
         pi = pi_weights(make_fit(phi=(0.5,)), 9)
         with pytest.raises(EmptyScanError):
-            scan(TimeSeries(np.zeros(10)), pi, sigma=1.0, margin=4)
+            scan(TimeSeries(np.zeros(10)), pi, sigma=1.0, margin=8)
 
 
 class TestStatsAllPositions:
