@@ -12,12 +12,14 @@ that must not be conflated:
   test statistic), and
 * ``mse`` -- the usual degree-of-freedom adjusted regression mean square.
 
-The AR path (OLS, the residual filter, the pi weights and the backward
-scan filter, all without feedback when q = 0) runs on numpy alone: its
-filters are truncated convolutions and its QR is numpy's bundled LAPACK.
-scipy is imported where it is first needed: ``scipy.signal`` for a
-recursive filter (an MA part, or the AR recursion of a simulation) and
-``scipy.optimize`` for the CSS solve.
+Every filter here is the one recursive filter :func:`_lfilter`. The AR
+path (OLS, the residual filter, the pi weights and the backward scan
+filter, all without feedback when q = 0) runs on numpy alone: its filters
+are truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
+imported where it is first needed: ``scipy.linalg`` for the banded
+triangular solve of a filter with feedback (an MA part) and
+``scipy.optimize`` for the CSS solve, which loads ``scipy.linalg`` anyway.
+No estimation path loads ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ArimaOrder:
             raise ValueError("differencing order d > 2 is not supported")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not an ambiguous array
 class OlsResult:
     """Least-squares solution with the usual accounting."""
 
@@ -122,7 +124,7 @@ class ArimaFit:
         return self.intercept / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == is identity, not an ambiguous array
 class PiWeights:
     """The first m weights of the autoregressive (infinite-order) representation.
 
@@ -197,17 +199,37 @@ def _warn_on_roots(phi, theta) -> None:
         )
 
 
-def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
-    """``scipy.signal.lfilter(b, a, x)`` with zero initial state, on numpy alone when a = [1].
+def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x, axis=0)`` with zero initial state, for a monic a.
 
-    Without feedback the filter is the truncated convolution, the very
-    ``np.convolve(b, x)`` scipy runs for it, so the result is bit for bit
-    scipy's; ``scipy.signal`` is imported only for a recursive filter.
+    Without feedback (a = [1]) the filter is the truncated convolution, the
+    very ``np.convolve(b, x)`` scipy runs for it, so the result is bit for
+    bit scipy's, on numpy alone. With feedback, the all-pole part 1 / a(B)
+    from a zero state is the unit lower-triangular banded system
+    sum_j a_j y_{t-j} = (b(B) x)_t, solved by forward substitution in
+    O(n len(a)): BLAS ``dtbsv`` for a vector and LAPACK ``dtbtrs`` down the
+    columns of a 2-d x, which takes b = [1]. The solve rounds differently
+    from ``lfilter`` (both are exact to rounding, not to the bit). x is never
+    written, except a Fortran-ordered 2-d x given with ``overwrite_x``,
+    which is solved in place.
     """
     if len(a) == 1 and a[0] == 1.0:
         return np.convolve(b, x)[:x.size] if x.size else np.zeros(0)
-    from scipy import signal
-    return signal.lfilter(b, a, x)
+    if a[0] != 1.0 or (x.ndim > 1 and (len(b) != 1 or b[0] != 1.0)):
+        raise ValueError("the filter needs a monic a, and b = [1] for a 2-d x")
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros(x.shape)
+    from scipy.linalg import blas, lapack
+
+    ab = np.repeat(np.asarray(a, dtype=float)[None], n, axis=0).T  # band storage: ab[j, t] = a_j
+    if x.ndim == 1:
+        y = np.convolve(b, x)[:n] if len(b) > 1 else b[0] * x  # a new array, solved in place
+        return blas.dtbsv(len(a) - 1, ab, y, lower=1, diag=1, overwrite_x=1)
+    y, info = lapack.dtbtrs(ab, x, uplo="L", diag="U", overwrite_b=overwrite_x)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dtbtrs failed with info = {info}")
+    return y
 
 
 def ols(X: np.ndarray, y) -> OlsResult:
@@ -354,13 +376,16 @@ def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
     lagged, centred series -w_{t-i}, the theta_j columns the residuals
     shifted by j; each passed through 1 / theta(B) with zero initial state.
     """
-    p, n = phi.size, a.size
-    wt = w - mean
-    cols = [np.full(n, phi.sum() - 1.0)] if with_intercept else []
-    cols += [-wt[p - i:wt.size - i] for i in range(1, p + 1)]
-    cols += [np.concatenate([np.zeros(j), a[:n - j]]) for j in range(1, theta.size + 1)]
-    from scipy import signal
-    return signal.lfilter([1.0], _lag_poly(theta), np.column_stack(cols), axis=0)
+    p, q, n = phi.size, theta.size, a.size
+    k = 1 if with_intercept else 0
+    J = np.empty((n, k + p + q), order="F")  # LAPACK's layout, so the filter solves it in place
+    J[:, :k] = phi.sum() - 1.0
+    for i in range(1, p + 1):
+        np.subtract(mean, w[p - i:w.size - i], out=J[:, k + i - 1])
+    for j in range(1, q + 1):
+        J[:j, k + p + j - 1] = 0.0
+        J[j:, k + p + j - 1] = a[:n - j]
+    return _lfilter([1.0], _lag_poly(theta), J, overwrite_x=True) if q else J
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:

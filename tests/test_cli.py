@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -311,9 +313,26 @@ no_scipy("import aoarima")
 import aoarima.cli
 assert aoarima.cli.main(["detect", "--input", csv, "--order", "2,0,0", "--output", out]) == 0
 no_scipy("an AR detect")
+assert aoarima.cli.main(["fit", "--input", csv, "--order", "2,0,0", "--output", out]) == 0
+no_scipy("an AR fit")
 assert aoarima.cli.main(["fit", "--input", csv, "--order", "1,0,1", "--output", out]) == 0
 assert scipy_modules(), "an MA fit ran without scipy"
+signal = [m for m in scipy_modules() if m == "scipy.signal" or m.startswith("scipy.signal.")]
+assert not signal, f"an MA fit loaded {len(signal)} scipy.signal modules"
 """
+
+
+def imports_scipy_signal(path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in names):
+            return True
+    return False
 
 
 class TestColdPath:
@@ -326,3 +345,8 @@ class TestColdPath:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_only_simulate_imports_scipy_signal(self):
+        # lfilter's rounding is part of every seeded series; nothing else may load scipy.signal
+        package = pathlib.Path(aoarima.__file__).parent
+        assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy_signal(p)] == ["simulate.py"]

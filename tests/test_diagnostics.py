@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import ndtri
 
 from aoarima import (
@@ -16,6 +17,7 @@ from aoarima import (
     ljung_box,
     simulate,
 )
+from aoarima.diagnostics import _ndtr
 
 
 def chi_square_sf_quadrature(x, df, steps=200000):
@@ -55,6 +57,25 @@ class TestChiSquareSf:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             chi_square_sf(-0.1, 3)
+
+
+class TestAgainstScipySpecial:
+    """The closed forms against the scipy.special functions they replaced, 1e-12 relative."""
+
+    def test_chi_square_sf_matches_gammaincc(self):
+        xs = np.concatenate([[1e-9, 1e-3], np.linspace(0.0, 400.0, 801)])
+        for df in range(1, 101):
+            got = np.array([chi_square_sf(float(x), df) for x in xs])
+            np.testing.assert_allclose(got, special.gammaincc(df / 2.0, xs / 2.0), rtol=1e-12, atol=0.0)
+
+    def test_ndtr_matches_scipy(self):
+        z = np.linspace(-38.0, 38.0, 7601)
+        # scipy flushes the tail below the smallest normal number (z < -37.6) to 0
+        np.testing.assert_allclose(_ndtr(z), special.ndtr(z), rtol=1e-12, atol=np.finfo(float).tiny)
+
+    def test_rejects_fractional_df(self):
+        with pytest.raises(ValueError):
+            chi_square_sf(1.0, 2.5)
 
 
 class TestLjungBox:

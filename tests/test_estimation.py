@@ -475,6 +475,94 @@ class TestNumpyPathAgainstScipy:
             ols(np.column_stack([X, 2.0 * X[:, 1]]), y)
 
 
+class TestBandedFilterAgainstScipy:
+    """``_lfilter`` against ``scipy.signal.lfilter``, its test oracle, within 1e-12 of the maximum.
+
+    With feedback the filter is a banded triangular solve, which rounds
+    differently from ``lfilter``; without it the convolution is checked
+    bit for bit above. The input is never written.
+    """
+
+    FILTERS = {name: (phi, theta, d) for name, (phi, theta, d) in FILTER_MODELS.items()}
+    FILTERS["arma22"] = ((0.5, -0.2), (1.2, -0.5), 0)  # q = 2 with complex MA roots and an AR part
+    FEEDBACK = sorted(name for name, (_, theta, _) in FILTERS.items() if theta)
+
+    @classmethod
+    def _filter(cls, name):
+        phi, theta, d = cls.FILTERS[name]
+        b = _lag_poly(phi)
+        for _ in range(d):
+            b = np.convolve(b, [1.0, -1.0])
+        return b, _lag_poly(theta)
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    @classmethod
+    def _check(cls, b, a, x, **kw):
+        before = np.array(x, copy=True)
+        got = _lfilter(b, a, x, **kw)
+        want = signal.lfilter(b, a, before, axis=0) if x.shape[0] else np.zeros(x.shape)
+        cls._assert_close(got, want)
+        return got, before
+
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    def test_vector(self, name):
+        b, a = self._filter(name)
+        for n in (0, 1, a.size, 50, 2000):  # a.size is q + 1
+            x = np.random.default_rng(n).normal(size=n)
+            got, before = self._check(b, a, x)
+            assert np.array_equal(x, before)
+            e = np.random.default_rng(n + 1).normal(size=n)
+            got, before = self._check(b, a, e[::-1])  # the backward scan's reversed view
+            assert np.array_equal(e[::-1], before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("name", FEEDBACK)
+    def test_columns(self, name, order):
+        _, a = self._filter(name)
+        for n in (0, 1, a.size, 500):
+            X = np.asarray(np.random.default_rng(n).normal(size=(n, 3)), order=order)
+            got, before = self._check([1.0], a, X)
+            assert np.array_equal(X, before)
+            assert n == 0 or not np.shares_memory(got, X)
+
+    @pytest.mark.parametrize("name", FEEDBACK)
+    def test_columns_solved_in_place(self, name):
+        _, a = self._filter(name)
+        X = np.asfortranarray(np.random.default_rng(7).normal(size=(500, 3)))
+        want = signal.lfilter([1.0], a, X, axis=0)
+        got = _lfilter([1.0], a, X, overwrite_x=True)
+        assert np.shares_memory(got, X)
+        self._assert_close(got, want)
+
+    def test_near_unit_ma_root(self):
+        a = _lag_poly([1.0 - 1e-12])
+        x = np.random.default_rng(20_000).normal(size=20_000)
+        for b in ([1.0], self._filter("arima111")[0]):
+            got, before = self._check(b, a, x)
+            assert np.array_equal(x, before)
+        self._check([1.0], a, np.column_stack([x, x[::-1]]))
+
+    def test_rejects_what_it_cannot_solve(self):
+        with pytest.raises(ValueError):
+            _lfilter([1.0], [2.0, -1.0], np.ones(3))  # not monic
+        with pytest.raises(ValueError):
+            _lfilter([1.0, -0.5], [1.0, -0.3], np.ones((3, 2)))  # 2-d with an FIR part
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ols(np.column_stack([np.ones(5), np.arange(5.0)]), [1.0, 3.0, 2.0, 5.0, 4.0]),
+    lambda: PiWeights(_lag_poly([0.5]), _lag_poly([0.3]), 5),
+], ids=["OlsResult", "PiWeights"])
+def test_equality_answers_instead_of_raising(make):
+    first, second = make(), make()
+    assert first == first
+    assert first != second  # identity: the array fields are not compared
+
+
 class TestSigmaHat:
     def test_zeros(self):
         assert sigma_hat(TimeSeries([0.0, 0.0, 0.0])) == 0.0
