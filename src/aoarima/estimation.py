@@ -208,10 +208,10 @@ def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     from a zero state is the unit lower-triangular banded system
     sum_j a_j y_{t-j} = (b(B) x)_t, solved by forward substitution in
     O(n len(a)): BLAS ``dtbsv`` for a vector and LAPACK ``dtbtrs`` down the
-    columns of a 2-d x, which takes b = [1]. The solve rounds differently
-    from ``lfilter`` (both are exact to rounding, not to the bit). x is never
-    written, except a Fortran-ordered 2-d x given with ``overwrite_x``,
-    which is solved in place.
+    columns of a 2-d x, which takes b = [1]. The solve adds in another
+    order than ``lfilter``, so the two agree to rounding, not bit for bit.
+    x is never written, except a Fortran-ordered 2-d x given with
+    ``overwrite_x``, which is solved in place.
     """
     if len(a) == 1 and a[0] == 1.0:
         return np.convolve(b, x)[:x.size] if x.size else np.zeros(0)

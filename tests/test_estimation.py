@@ -483,8 +483,7 @@ class TestBandedFilterAgainstScipy:
     bit for bit above. The input is never written.
     """
 
-    FILTERS = {name: (phi, theta, d) for name, (phi, theta, d) in FILTER_MODELS.items()}
-    FILTERS["arma22"] = ((0.5, -0.2), (1.2, -0.5), 0)  # q = 2 with complex MA roots and an AR part
+    FILTERS = {**FILTER_MODELS, "arma22": ((0.5, -0.2), (1.2, -0.5), 0)}  # q = 2, complex MA roots
     FEEDBACK = sorted(name for name, (_, theta, _) in FILTERS.items() if theta)
 
     @classmethod
