@@ -1,9 +1,13 @@
 """ARIMA parameter estimation and the filtering machinery built on it.
 
 AR models are estimated by ordinary least squares on lagged regressors;
-models with an MA part by minimizing the conditional sum of squares with
-a Levenberg-Marquardt least-squares solve over the partial
-autocorrelations of phi and theta, with standard errors from the
+models with an MA part by minimizing the conditional sum of squares
+(CSS). With one MA coefficient the CSS residuals are linear in the
+intercept and phi for a fixed theta, so those are profiled out by one QR
+and theta is searched alone, on a grid and by a Brent polish (variable
+projection). With more, or when the profiled phi is not stationary, a
+Levenberg-Marquardt least-squares solve runs over the partial
+autocorrelations of phi and theta. Standard errors come from the
 analytic Jacobian of the residuals. Both report two variance estimates
 that must not be conflated:
 
@@ -17,9 +21,10 @@ path (OLS, the residual filter, the pi weights and the backward scan
 filter, all without feedback when q = 0) runs on numpy alone: its filters
 are truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
 imported where it is first needed: ``scipy.linalg`` for the banded
-triangular solve of a filter with feedback (an MA part) and
-``scipy.optimize`` for the CSS solve, which loads ``scipy.linalg`` anyway.
-No estimation path loads ``scipy.signal``.
+triangular solve of a filter with feedback (an MA part), and
+``scipy.optimize`` only for the Levenberg-Marquardt solve, so a fit with
+q <= 1 that stays stationary never loads it. No estimation path loads
+``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -222,11 +227,15 @@ def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         return np.zeros(x.shape)
     from scipy.linalg import blas, lapack
 
-    ab = np.repeat(np.asarray(a, dtype=float)[None], n, axis=0).T  # band storage: ab[j, t] = a_j
+    a = np.asarray(a, dtype=float)
     if x.ndim == 1:
+        # band storage ab[j, t] = a_j. dtbsv reads the top len(a) rows of a taller band, and
+        # np.repeat copies 32-byte rows about 3x faster than 24-byte ones, so q = 2 gets a spare row
+        ab = np.repeat(np.append(a, 0.0)[None] if a.size == 3 else a[None], n, axis=0).T
         y = np.convolve(b, x)[:n] if len(b) > 1 else b[0] * x  # a new array, solved in place
-        return blas.dtbsv(len(a) - 1, ab, y, lower=1, diag=1, overwrite_x=1)
-    y, info = lapack.dtbtrs(ab, x, uplo="L", diag="U", overwrite_b=overwrite_x)
+        return blas.dtbsv(a.size - 1, ab, y, lower=1, diag=1, overwrite_x=1)
+    # dtbtrs takes the band width from the rows, so its band has exactly len(a) of them
+    y, info = lapack.dtbtrs(np.repeat(a[None], n, axis=0).T, x, uplo="L", diag="U", overwrite_b=overwrite_x)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dtbtrs failed with info = {info}")
     return y
@@ -388,31 +397,126 @@ def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
     return _lfilter([1.0], _lag_poly(theta), J, overwrite_x=True) if q else J
 
 
-def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
-    """Fit an ARIMA(p, d, q) by conditional sum of squares.
+def _brent(f, a: float, b: float, x: float, fx: float, tol: float = 1.48e-8) -> tuple[float, float]:
+    """Minimize f on [a, b] from x in it, f(x) = fx, by Brent's method; returns (x, f(x)).
 
-    The d-fold difference is taken first. The objective sums squared
-    shocks reconstructed recursively with zero pre-sample shocks,
-    conditioning on the first p differenced observations. It is minimized
-    by Levenberg-Marquardt least squares with the analytic Jacobian of
-    the residual vector. phi and theta are each parametrized by the
-    arctanh of their partial autocorrelations, so every iterate is
-    stationary and invertible; a fit that would leave that region stops
-    on its boundary (and warns). The solve starts from the Yule-Walker
-    estimate for phi (zeros if it breaks down) and zeros for theta; models
-    with both an AR and an MA part also start from MA partial
-    autocorrelations of +/-0.5 and keep the lowest sum of squares.
-    Standard errors come from the same Jacobian at the optimum, taken in
-    the reported (intercept, phi, theta) coordinates.
+    Golden-section steps with parabolic ones where the last three points
+    allow them (Brent 1973, ch. 5), to a relative tolerance ``tol`` in x.
+    """
+    golden = 0.3819660112501051  # (3 - sqrt 5) / 2
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = tol * abs(x) + 1e-11
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:  # fit a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            s = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            s, q = (-s, q) if q > 0.0 else (s, -q)
+            if abs(s) < abs(0.5 * q * e) and q * (a - x) < s < q * (b - x):
+                e, d = d, s / q
+                parabolic = True
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if x < mid else -tol1
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu < fx:  # a tie keeps x, so a flat stretch does not move it
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+# The theta search of a q = 1 fit runs in z = atanh(theta): a grid over
+# [-3, 3] (|theta| <= 0.995), and out to |z| = 15 (1 - |theta| = 1.9e-13,
+# where the profile is flat to rounding) only when the grid falls to an edge.
+_Z_GRID = np.linspace(-3.0, 3.0, 33)
+_Z_EDGE = 15.0
+
+
+def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
+    """(mean, phi, theta) minimizing the CSS of a q <= 1 model by variable projection.
+
+    For a fixed theta the residuals theta(B)^-1 (w_t - c - sum phi_i w_{t-i})
+    are linear in (c, phi): one Householder QR of the lag design
+    [1, w_{t-1}, ..., w_{t-p} | w_t] run through 1 / theta(B) gives the
+    profiled sum of squares as its squared bottom corner, and (c, phi)
+    from R (Golub & Pereyra 1973; Kaufman 1975). theta is then found by a
+    grid in z = atanh(theta) and a Brent polish of every strict interior
+    grid minimum, keeping the lowest. Only a profile falling to an edge of
+    the grid is followed out towards that end of the invertible region.
+    Returns None when the profiled phi is not stationary, or the design
+    is rank deficient, at the chosen theta.
+    """
+    X, y = _lagged_design(wv, p, with_intercept)
+    n, m = X.shape[0], X.shape[1] + 1
+    design = np.empty((n, m), order="F")
+    design[:, :-1], design[:, -1] = X, y
+    r = np.empty_like(design)  # LAPACK's layout: the filter and the QR both work in place
+    tau, work = np.empty(m), np.empty(3 * m)
+
+    def profile(z):
+        np.copyto(r, design)
+        if q:
+            _lfilter([1.0], [1.0, -math.tanh(z)], r, overwrite_x=True)
+        info = lapack_lite.dgeqrf(n, m, r.T, n, tau, work, work.size, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
+        corner = float(r[m - 1, m - 1])
+        sse = corner * corner  # inf, not an overflow warning, past the largest float
+        if not math.isfinite(sse):
+            raise ConvergenceError("the profiled conditional sum of squares is not finite")
+        return sse
+
+    z = 0.0
+    if q:
+        f = np.array([profile(g) for g in _Z_GRID])
+        inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])) + 1
+        if not inner.size:  # the lowest grid point, nearest theta = 0 among ties: an edge only when
+            near = np.argsort(np.abs(_Z_GRID), kind="stable")  # the profile falls to it
+            inner = [int(near[np.argmin(f[near])])]
+        brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
+        z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
+                key=lambda t: t[1])[0]
+    profile(z)  # leaves the factor at the chosen theta in r
+    pivots = np.abs(np.diag(r)[:m - 1])
+    if pivots.size and (pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0):
+        return None
+    coef = np.linalg.solve(np.triu(r[:m - 1, :m - 1]), r[:m - 1, m - 1]) if m > 1 else np.zeros(0)
+    k = 1 if with_intercept else 0
+    phi = coef[k:]
+    if min_ar_root_modulus(phi) <= 1.0 + _ROOT_TOL:
+        return None
+    mean = float(coef[0]) / (1.0 - phi.sum()) if with_intercept else 0.0
+    return mean, phi, np.full(q, math.tanh(z))
+
+
+def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
+    """(mean, phi, theta) minimizing the CSS by Levenberg-Marquardt in tanh-PACF coordinates.
+
+    phi and theta are each parametrized by the arctanh of their partial
+    autocorrelations, so every iterate is stationary and invertible; a fit
+    that would leave that region stops on its boundary. The solve uses the
+    analytic Jacobian of the residual vector and starts from the
+    Yule-Walker estimate for phi (zeros if it breaks down) and zeros for
+    theta; models with both an AR and an MA part also start from MA
+    partial autocorrelations of +/-0.5 and keep the lowest sum of squares.
     """
     from scipy import optimize
 
-    p, d, q = order.p, order.d, order.q
-    if p + q < 1:
-        raise ValueError("need p + q >= 1 to fit a model")
-    if series.n <= 3 * (p + q) + 5 + d:
-        raise LengthError(f"need more than {3 * (p + q) + 5 + d} observations for this order")
-    w = difference(series, d)
     wv = w.values
     k = 1 if with_intercept else 0
     pacf0 = np.zeros(p)
@@ -422,7 +526,6 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         except (SingularError, DegenerateError):
             pass
     head = np.concatenate([[wv.mean()] if with_intercept else [], np.arctanh(pacf0)])
-    n_par = head.size + q
 
     def unpack(x):
         phi, dphi = _from_pacf(x[k:k + p])
@@ -451,12 +554,48 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     res = min((optimize.least_squares(resid, np.append(head, np.full(q, np.arctanh(r0))), jac=jac,
                                       method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10)
                for r0 in ma_starts), key=lambda r: r.cost)
-    a = res.fun
-    sse = float(a @ a)
-    if res.status <= 0 or not math.isfinite(sse):
+    if res.status <= 0:
         raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
+    mean, phi, _, theta, _ = unpack(res.x)
+    return mean, phi, theta
+
+
+def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
+    """Fit an ARIMA(p, d, q) by conditional sum of squares.
+
+    The d-fold difference is taken first. The objective sums squared
+    shocks reconstructed recursively with zero pre-sample shocks,
+    conditioning on the first p differenced observations. The fit stays
+    in the stationary and invertible region; its target is the lowest
+    local minimum inside it. It ends on the region's boundary (and warns)
+    only when the objective keeps falling towards it, and it does not
+    look for a lower sum of squares on the boundary once it has an
+    interior minimum.
+
+    For q <= 1, (intercept, phi) are profiled out by least squares and
+    theta is searched alone (:func:`_css_projection`). For q >= 2, or
+    when the profiled phi is not stationary, the objective is minimized
+    by Levenberg-Marquardt over the partial autocorrelations of phi and
+    theta (:func:`_css_lm`). Standard errors come from the analytic
+    Jacobian of the residuals at the optimum, taken in the reported
+    (intercept, phi, theta) coordinates.
+    """
+    p, d, q = order.p, order.d, order.q
+    if p + q < 1:
+        raise ValueError("need p + q >= 1 to fit a model")
+    if series.n <= 3 * (p + q) + 5 + d:
+        raise LengthError(f"need more than {3 * (p + q) + 5 + d} observations for this order")
+    w = difference(series, d)
+    wv = w.values
+    k = 1 if with_intercept else 0
+    n_par = k + p + q
+    est = _css_projection(wv, p, q, with_intercept) if q <= 1 else None
+    mean, phi_v, theta_v = est if est is not None else _css_lm(w, p, q, with_intercept)
+    a = _css_residuals(wv, mean, phi_v, theta_v)
+    sse = float(a @ a)
+    if not math.isfinite(sse):
+        raise ConvergenceError("the conditional sum of squares at the optimum is not finite")
     mse = sse / (a.size - n_par)  # the length check leaves more than n_par residuals
-    mean, phi_v, _, theta_v, _ = unpack(res.x)
     phi = tuple(float(v) for v in phi_v)
     theta = tuple(float(v) for v in theta_v)
     intercept = mean * (1.0 - sum(phi)) if with_intercept else 0.0

@@ -95,16 +95,32 @@ def simulate(spec: SimSpec) -> TimeSeries:
     for j, th in enumerate(theta, start=1):
         s[j:] -= th * a[:-j]
     s += spec.intercept
-    if phi.size:
-        from scipy import signal  # the seeded series are lfilter's bits; a banded solve rounds differently
-
-        x = signal.lfilter([1.0], _lag_poly(phi), s)
-    else:
-        x = s
-    x = x[spec.effective_burn_in:]
+    x = (_ar_recursion(phi, s) if phi.size else s)[spec.effective_burn_in:]
     for _ in range(spec.order.d):
         x = np.cumsum(x)
     return TimeSeries(x, start_index=1)
+
+
+def _ar_recursion(phi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter([1], 1 - phi_1 B - ..., s)`` bit for bit, in plain Python.
+
+    The seeded series, the bundled demo CSV and the golden reports are
+    made of lfilter's rounding (a banded solve rounds differently). So this
+    is lfilter's direct form II transposed loop in its own order, with
+    a = 1, -phi_1, ..., -phi_p: y = z_0 + x, then z_i = (z_{i+1} + 0 x) - a_{i+1} y
+    for i < p - 1 and z_{p-1} = 0 x - a_p y.
+    """
+    a = _lag_poly(phi).tolist()
+    p = len(a) - 1
+    z = [0.0] * p
+    out = []
+    for x in s.tolist():
+        y = z[0] + x
+        for i in range(p - 1):
+            z[i] = (z[i + 1] + x * 0.0) - a[i + 1] * y
+        z[p - 1] = x * 0.0 - a[p] * y
+        out.append(y)
+    return np.array(out)
 
 
 def inject(series: TimeSeries, plan: InjectionPlan) -> TimeSeries:

@@ -317,8 +317,9 @@ assert aoarima.cli.main(["fit", "--input", csv, "--order", "2,0,0", "--output", 
 no_scipy("an AR fit")
 assert aoarima.cli.main(["fit", "--input", csv, "--order", "1,0,1", "--output", out]) == 0
 assert scipy_modules(), "an MA fit ran without scipy"
-signal = [m for m in scipy_modules() if m == "scipy.signal" or m.startswith("scipy.signal.")]
-assert not signal, f"an MA fit loaded {len(signal)} scipy.signal modules"
+for unused in ("scipy.signal", "scipy.optimize"):  # the q = 1 fit is a variable projection
+    mods = [m for m in scipy_modules() if m == unused or m.startswith(unused + ".")]
+    assert not mods, f"an MA fit loaded {len(mods)} {unused} modules"
 """
 
 
@@ -346,7 +347,7 @@ class TestColdPath:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_only_simulate_imports_scipy_signal(self):
-        # lfilter's rounding is part of every seeded series; nothing else may load scipy.signal
+    def test_no_module_imports_scipy_signal(self):
+        # simulate keeps lfilter's rounding with a plain loop, so no module needs scipy.signal
         package = pathlib.Path(aoarima.__file__).parent
-        assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy_signal(p)] == ["simulate.py"]
+        assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy_signal(p)] == []

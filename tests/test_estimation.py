@@ -10,12 +10,14 @@ from scipy import linalg, optimize, signal
 from aoarima import (
     ArimaOrder,
     ConvergenceError,
+    DetectionConfig,
     DomainError,
     LengthError,
     NonInvertibleWarning,
     RankError,
     SingularError,
     TimeSeries,
+    detect_iterative,
     filter_residuals,
     fit_ar_ols,
     fit_arima,
@@ -27,7 +29,9 @@ from aoarima import (
 )
 from aoarima import acf, demo_dataset, difference
 from aoarima.estimation import (
+    _ROOT_TOL,
     PiWeights,
+    _css_lm,
     _css_residuals,
     _filter_backward,
     _from_pacf,
@@ -233,20 +237,75 @@ class TestFitArmaCss:
         assert compared >= 4
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
-        real = optimize.least_squares  # fit_arma_css imports scipy.optimize when it runs
+        # q = 2 is fitted by Levenberg-Marquardt, which fit_arma_css imports from scipy.optimize
+        real = optimize.least_squares
         monkeypatch.setattr(optimize, "least_squares",
                             lambda *args, **kw: real(*args, **{**kw, "max_nfev": 1}))
-        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=3, phi=(0.5,), theta=(0.3,)))
+        y = simulate(SimSpec(order=ArimaOrder(1, 0, 2), n=200, seed=3, phi=(0.5,), theta=(0.3, -0.2)))
+        with pytest.raises(ConvergenceError):
+            fit_arma_css(y, ArimaOrder(1, 0, 2), with_intercept=True)
+
+    def test_non_finite_profile_raises_convergence_error(self):
+        # squares of ~1e200 overflow, so every profiled sum of squares is infinite
+        y = TimeSeries(1e200 * np.random.default_rng(4).standard_normal(100))
         with pytest.raises(ConvergenceError):
             fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
 
     def test_non_invertible_optimum_stops_on_boundary(self):
-        # the unconstrained optimum has theta = 1.0603 (MA root modulus 0.943)
-        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=2, phi=(0.5,), theta=(0.6,)))
+        # the profile over theta falls all the way to theta = 1: there is no interior minimum
+        y = TimeSeries(np.random.default_rng(0).standard_normal(200))
         with pytest.warns(NonInvertibleWarning):
-            fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+            fit = fit_arma_css(y, ArimaOrder(0, 1, 1), with_intercept=True)
         assert min_ma_root_modulus(fit.theta) >= 1.0
         assert fit.theta[0] > 1.0 - 1e-6
+
+    def test_flat_profile_does_not_run_out_to_the_boundary(self):
+        # a constant series is fitted exactly at every theta: the fit keeps theta = 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_arma_css(TimeSeries(np.ones(60)), ArimaOrder(0, 1, 1), with_intercept=True)
+        assert fit.theta == (0.0,)
+        assert fit.sse == 0.0
+
+    def test_interior_minimum_is_kept_over_a_lower_boundary(self):
+        # the CSS is lower towards theta = 1 (the unconstrained optimum has theta = 1.06),
+        # but the fit keeps the interior local minimum, and detection then finds no
+        # spurious outlier of lambda = 7.45 at T = 18, as it did from the boundary fit
+        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=2, phi=(0.5,), theta=(0.6,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+        assert fit.phi[0] == pytest.approx(-0.7666, abs=1e-3)
+        assert fit.theta[0] == pytest.approx(-0.7230, abs=1e-3)
+        assert fit.sse == pytest.approx(187.8119, rel=1e-6)
+        result = detect_iterative(y, fit, DetectionConfig())
+        assert all(abs(r.lambda_hat) < 3.1 for r in result.outliers)  # 3.01 at T = 18, borderline at c = 3
+
+    # LM in tanh-PACF coordinates, the solve variable projection replaced for q = 1
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    @pytest.mark.parametrize("p, d, phi, theta", [
+        (1, 0, (0.5,), (0.6,)),
+        (1, 1, (0.5,), (0.3,)),
+        (0, 1, (), (0.4,)),
+        (2, 0, (0.5, -0.3), (0.4,)),
+    ])
+    def test_projection_not_worse_than_levenberg_marquardt(self, p, d, phi, theta, with_intercept):
+        order = ArimaOrder(p, d, 1)
+        inside = 0
+        for s in range(2000, 2020):
+            y = simulate(SimSpec(order=order, n=200, seed=s, phi=phi, theta=theta,
+                                 intercept=0.3 if with_intercept else 0.0))
+            w = difference(y, d)
+            mean, phi_lm, theta_lm = _css_lm(w, p, 1, with_intercept)
+            if min(min_ar_root_modulus(phi_lm), min_ma_root_modulus(theta_lm)) <= 1.0 + _ROOT_TOL:
+                continue  # LM ended on the boundary; the projection keeps an interior minimum
+            inside += 1
+            a = _css_residuals(w.values, mean, phi_lm, theta_lm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a boundary end would warn
+                fit = fit_arma_css(y, order, with_intercept=with_intercept)
+            assert fit.sse <= float(a @ a) * (1 + 1e-9)
+        assert inside >= 15
 
     def test_std_errors_match_finite_difference_jacobian(self):
         y, _, _ = demo_dataset()

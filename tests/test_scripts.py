@@ -13,6 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("run_demo.py", [], ["T = 98", "T = 162", "T = 180"]),
     ("pick_demo_seed.py", [], ["frozen seed 20180967"]),
     ("threshold_study.py", ["--seeds", "5", "--critical", "3.0"], []),
+    ("css_parity.py", ["--seeds", "3"], ["PASS"]),
 ])
 def test_script_runs(script, args, expected):
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))

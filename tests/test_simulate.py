@@ -3,6 +3,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from aoarima import (
     ArimaOrder,
@@ -19,8 +20,10 @@ from aoarima import (
     inject,
     simulate,
 )
+from aoarima.estimation import _lag_poly
 from aoarima.outliers import OutlierRecord
 from aoarima.rng import normals, uniforms
+from aoarima.simulate import _ar_recursion
 
 
 class TestRngStreams:
@@ -88,6 +91,14 @@ class TestSimulate:
     def test_default_burn_in(self):
         spec = SimSpec(order=ArimaOrder(2, 0, 1), n=10, seed=1, phi=(0.1, 0.1), theta=(0.2,))
         assert spec.effective_burn_in == 103
+
+    @pytest.mark.parametrize("phi", [(0.5,), (0.2237, 0.4282), (-0.9,), (1.2, -0.5), (0.3, 0.2, 0.1, 0.05, -0.2)])
+    def test_ar_recursion_is_lfilter_bit_for_bit(self, phi):
+        # the seeded series and every golden are lfilter's rounding, which the plain loop keeps
+        phi = np.asarray(phi)
+        for seed in range(40):
+            s = normals(seed, 300) + 0.3 * (seed % 2)
+            assert np.array_equal(_ar_recursion(phi, s), signal.lfilter([1.0], _lag_poly(phi), s))
 
     def test_integration_gives_random_walk(self):
         spec = SimSpec(order=ArimaOrder(0, 1, 0), n=500, seed=55, burn_in=0)
