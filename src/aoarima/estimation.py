@@ -566,19 +566,21 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     The d-fold difference is taken first. The objective sums squared
     shocks reconstructed recursively with zero pre-sample shocks,
     conditioning on the first p differenced observations. The fit stays
-    in the stationary and invertible region; its target is the lowest
-    local minimum inside it. It ends on the region's boundary (and warns)
-    only when the objective keeps falling towards it, and it does not
-    look for a lower sum of squares on the boundary once it has an
-    interior minimum.
+    in the stationary and invertible region, and ends on its boundary
+    only with a warning.
 
     For q <= 1, (intercept, phi) are profiled out by least squares and
-    theta is searched alone (:func:`_css_projection`). For q >= 2, or
-    when the profiled phi is not stationary, the objective is minimized
-    by Levenberg-Marquardt over the partial autocorrelations of phi and
-    theta (:func:`_css_lm`). Standard errors come from the analytic
-    Jacobian of the residuals at the optimum, taken in the reported
-    (intercept, phi, theta) coordinates.
+    theta is searched alone (:func:`_css_projection`). The target is the
+    lowest local minimum inside the region: the fit ends on the
+    invertibility boundary only when the objective keeps falling towards
+    it, and it does not look for a lower sum of squares on the boundary
+    once it has an interior minimum. For q >= 2, or when the profiled
+    phi is not stationary, the objective is minimized by
+    Levenberg-Marquardt over the partial autocorrelations of phi and
+    theta from a few starts (:func:`_css_lm`), keeping the lowest end
+    point, which may lie on the boundary. Standard errors come from the
+    analytic Jacobian of the residuals at the optimum, taken in the
+    reported (intercept, phi, theta) coordinates.
     """
     p, d, q = order.p, order.d, order.q
     if p + q < 1:

@@ -269,8 +269,8 @@ class TestFitArmaCss:
 
     def test_interior_minimum_is_kept_over_a_lower_boundary(self):
         # the CSS is lower towards theta = 1 (the unconstrained optimum has theta = 1.06),
-        # but the fit keeps the interior local minimum, and detection then finds no
-        # spurious outlier of lambda = 7.45 at T = 18, as it did from the boundary fit
+        # but the fit keeps the interior local minimum; a fit on the boundary makes
+        # detection flag a spurious T = 18 with lambda = 7.45
         y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=2, phi=(0.5,), theta=(0.6,)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
