@@ -1,14 +1,16 @@
 """Command-line front end: fit, detect, and simulate subcommands.
 
 Input CSVs carry one numeric column named ``value`` (header optional) or
-two columns ``t,value``; decimal points only. Reports are emitted as
+two columns ``t,value``, whose consecutive integer ``t`` labels the
+values; decimal points only. Reports are emitted as
 text, JSON (schema documented in the README, ``schema_version`` 1), or
 CSV tables. File writes go through a temp-file-then-rename onto the
 resolved path, so a crash never leaves a half-written report; a device
 or a pipe at that path is written in place.
 
-Exit codes: 0 success, 2 input error, 3 model or math error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 input error (the CSV, or an option outside its
+range), 3 model or math error (a series too short for the order or for a
+Ljung-Box lag among them), 4 internal invariant violation.
 
 Set ``AOARIMA_VERBOSE=1`` for progress notes on stderr.
 """
@@ -61,14 +63,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def read_series_csv(path: str) -> TimeSeries:
-    """Parse a one-column ``value`` or two-column ``t,value`` CSV."""
+    """Parse a one-column ``value`` or two-column ``t,value`` CSV.
+
+    ``t`` must count up by one; its first value becomes the start index,
+    so the series' labels are the file's.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     values = []
-    ncols = None
+    ncols = start = None
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -88,13 +94,21 @@ def read_series_csv(path: str) -> TimeSeries:
                 )
         if len(fields) != ncols:
             raise ParseError(f"expected {ncols} columns, found {len(fields)}", lineno)
+        if ncols == 2:
+            try:
+                t = int(fields[0])
+            except ValueError:
+                raise ParseError(f"t is not an integer: {fields[0]!r}", lineno) from None
+            start = t if start is None else start
+            if t != start + len(values):
+                raise ParseError(f"t must count up by one: expected {start + len(values)}, got {t}", lineno)
         cell = fields[-1]
         if not _is_number(cell):
             raise ParseError(f"not a number: {cell!r}", lineno)
         values.append(float(cell))
     if not values:
         raise ParseError(f"no data rows in {path}")
-    return TimeSeries(np.asarray(values))
+    return TimeSeries(np.asarray(values), start_index=1 if start is None else start)
 
 
 def _is_number(s: str) -> bool:
@@ -396,51 +410,51 @@ def _render_text(report: dict) -> str:
 # ---------------------------------------------------------------- argument parsing
 
 
+def _arg_type(parse):
+    """An argparse type from ``parse``: its ValueError is a usage error (exit 2), not a crash."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+    return typed
+
+
+def _number(kind=float, low=-math.inf, strict=False):
+    """A finite ``kind`` of at least ``low``, or above it when ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        if value < low or (strict and value == low):
+            raise ValueError(f"must be {'above' if strict else 'at least'} {low}")
+        return value
+    return _arg_type(parse)
+
+
+def _list(parse, least: int = 0):
+    """A comma-separated list of at least ``least`` ``parse`` values; blank items are skipped."""
+    def parse_all(text: str) -> tuple:
+        values = tuple(parse(v) for v in text.split(",") if v.strip())
+        if len(values) < least:
+            raise ValueError(f"need at least {least} value(s)")
+        return values
+    return _arg_type(parse_all)
+
+
+@_arg_type
 def _parse_order(text: str) -> ArimaOrder:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("order must be three comma-separated integers p,d,q")
-    try:
-        p, d, q = (int(v) for v in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad order {text!r}: {exc}") from None
-    try:
-        return ArimaOrder(p, d, q)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise ValueError("order must be three comma-separated integers p,d,q")
+    return ArimaOrder(*(int(v) for v in parts))
 
 
-def _parse_float_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}") from None
-
-
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad lag list {text!r}: {exc}") from None
-
-
-def _parse_injections(text: str) -> tuple:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise argparse.ArgumentTypeError(f"injection {chunk!r} must look like T:omega")
-        t, w = chunk.split(":", 1)
-        try:
-            out.append((int(t), float(w)))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad injection {chunk!r}: {exc}") from None
-    return tuple(out)
+def _parse_injection(chunk: str) -> tuple:
+    if ":" not in chunk:
+        raise ValueError("an injection must look like T:omega")
+    t, w = chunk.split(":", 1)
+    return int(t), _number()(w)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,30 +474,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a model and run residual diagnostics")
     add_common(fit)
-    fit.add_argument("--lags", type=_parse_int_list, default=(12, 24, 36),
+    fit.add_argument("--lags", type=_list(_number(int, 1), least=1), default=(12, 24, 36),
                      help="Ljung-Box lags (default 12,24,36)")
 
     det = sub.add_parser("detect", help="detect and correct additive outliers")
     add_common(det)
-    det.add_argument("--critical", type=float, default=3.0, help="detection threshold (default 3.0)")
-    det.add_argument("--max-outliers", type=int, default=10)
-    det.add_argument("--max-iterations", type=int, default=20)
+    det.add_argument("--critical", type=_number(float, 0.0, strict=True), default=3.0,
+                     help="detection threshold (default 3.0)")
+    det.add_argument("--max-outliers", type=_number(int, 1), default=10)
+    det.add_argument("--max-iterations", type=_number(int, 1), default=20)
     det.add_argument("--refit-each-iteration", action="store_true",
                      help="re-estimate the model after every detection (off: keep initial weights)")
-    det.add_argument("--scan-margin", type=int, default=None,
+    det.add_argument("--scan-margin", type=_number(int, 0), default=None,
                      help="positions excluded at the start of the scan (default: the AR order)")
     det.add_argument("--corrected-output", help="write the corrected series CSV here")
 
     sim = sub.add_parser("simulate", help="generate a seeded series as CSV")
-    sim.add_argument("--n", required=True, type=int, help="series length")
+    sim.add_argument("--n", required=True, type=_number(int, 1), help="series length")
     sim.add_argument("--seed", required=True, type=int, help="generator seed")
-    sim.add_argument("--phi", type=_parse_float_list, default=(), help="AR coefficients a,b,...")
-    sim.add_argument("--theta", type=_parse_float_list, default=(), help="MA coefficients a,b,...")
-    sim.add_argument("--d", type=int, default=0, help="integration order")
-    sim.add_argument("--intercept", type=float, default=0.0)
-    sim.add_argument("--sigma", type=float, default=1.0, help="innovation standard deviation")
-    sim.add_argument("--burn-in", type=int, default=None)
-    sim.add_argument("--inject", type=_parse_injections, default=(),
+    sim.add_argument("--phi", type=_list(_number()), default=(), help="AR coefficients a,b,...")
+    sim.add_argument("--theta", type=_list(_number()), default=(), help="MA coefficients a,b,...")
+    sim.add_argument("--d", type=int, choices=(0, 1, 2), default=0, help="integration order")
+    sim.add_argument("--intercept", type=_number(), default=0.0)
+    sim.add_argument("--sigma", type=_number(float, 0.0), default=1.0, help="innovation standard deviation")
+    sim.add_argument("--burn-in", type=_number(int, 0), default=None)
+    sim.add_argument("--inject", type=_list(_parse_injection), default=(),
                      help="additive outliers to plant, e.g. '98:8,162:-6'")
     sim.add_argument("--output", required=True, help="output CSV path")
     return parser

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
+from .errors import DegenerateError, DomainError, LengthError
 from .series import TimeSeries, acf
 
 __all__ = [
@@ -80,6 +80,7 @@ def ljung_box(residuals: TimeSeries, lags, fitted_params: int = 0) -> list[TestR
     For each requested lag h computes
     Q = n (n + 2) sum_{k=1..h} rho_k^2 / (n - k)
     and refers it to chi-square with h - fitted_params degrees of freedom.
+    Raises :class:`LengthError` for a lag not below the series length.
     """
     lags = [int(h) for h in lags]
     if not lags:
@@ -89,7 +90,7 @@ def ljung_box(residuals: TimeSeries, lags, fitted_params: int = 0) -> list[TestR
         if h <= fitted_params:
             raise DomainError(f"lag {h} must exceed the {fitted_params} fitted parameters")
         if h >= n:
-            raise ValueError(f"lag {h} must be smaller than the series length {n}")
+            raise LengthError(f"lag {h} must be smaller than the series length {n}")
     rho = acf(residuals, max(lags))
     k = np.arange(1, max(lags) + 1)
     terms = rho[1:] ** 2 / (n - k)

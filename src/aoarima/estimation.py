@@ -16,10 +16,14 @@ that must not be conflated:
   test statistic), and
 * ``mse`` -- the usual degree-of-freedom adjusted regression mean square.
 
-Every filter here is the one recursive filter :func:`_lfilter`. The AR
-path (OLS, the residual filter, the pi weights and the backward scan
-filter, all without feedback when q = 0) runs on numpy alone: its filters
-are truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
+Every least-squares fit (:func:`ols`, the AR fit, the joint refit of
+the outlier module and each point of the CSS profile) factors its lag
+design [1, x_{t-1}, ..., x_{t-p} | x_t], built once, in place by the one
+Householder QR :func:`_qr`, and solves from R by :func:`_solve`. Every
+filter here is the one recursive filter :func:`_lfilter`. The AR path
+(OLS, the residual filter, the pi weights and the backward scan filter,
+all without feedback when q = 0) runs on numpy alone: its filters are
+truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
 imported where it is first needed: ``scipy.linalg`` for the banded
 triangular solve of a filter with feedback (an MA part), and
 ``scipy.optimize`` only for the Levenberg-Marquardt solve, so a fit with
@@ -90,7 +94,6 @@ class OlsResult:
     sse: float
     mse: float
     std_errors: tuple
-    fitted: np.ndarray
     residuals: np.ndarray
     df_residual: int
 
@@ -212,8 +215,8 @@ def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     bit scipy's, on numpy alone. With feedback, the all-pole part 1 / a(B)
     from a zero state is the unit lower-triangular banded system
     sum_j a_j y_{t-j} = (b(B) x)_t, solved by forward substitution in
-    O(n len(a)): BLAS ``dtbsv`` for a vector and LAPACK ``dtbtrs`` down the
-    columns of a 2-d x, which takes b = [1]. The solve adds in another
+    O(n len(a)) by LAPACK ``dtbtrs``, down the one column of a vector or
+    the columns of a 2-d x, which takes b = [1]. The solve adds in another
     order than ``lfilter``, so the two agree to rounding, not bit for bit.
     x is never written, except a Fortran-ordered 2-d x given with
     ``overwrite_x``, which is solved in place.
@@ -225,32 +228,69 @@ def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     n = x.shape[0]
     if n == 0:
         return np.zeros(x.shape)
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
 
     a = np.asarray(a, dtype=float)
+    # band storage ab[j, t] = a_j; dtbtrs takes the band width from the rows. np.repeat copies
+    # 32-byte rows about 3x faster than 24-byte ones, so q = 2 gets a spare band of zeros, whose
+    # products leave every finite result bit for bit as it is
+    ab = np.repeat(np.append(a, 0.0)[None] if a.size == 3 else a[None], n, axis=0).T
     if x.ndim == 1:
-        # band storage ab[j, t] = a_j. dtbsv reads the top len(a) rows of a taller band, and
-        # np.repeat copies 32-byte rows about 3x faster than 24-byte ones, so q = 2 gets a spare row
-        ab = np.repeat(np.append(a, 0.0)[None] if a.size == 3 else a[None], n, axis=0).T
-        y = np.convolve(b, x)[:n] if len(b) > 1 else b[0] * x  # a new array, solved in place
-        return blas.dtbsv(a.size - 1, ab, y, lower=1, diag=1, overwrite_x=1)
-    # dtbtrs takes the band width from the rows, so its band has exactly len(a) of them
-    y, info = lapack.dtbtrs(np.repeat(a[None], n, axis=0).T, x, uplo="L", diag="U", overwrite_b=overwrite_x)
+        x = np.convolve(b, x)[:n] if len(b) > 1 else b[0] * x  # a new array, solved in place
+        overwrite_x = True
+    y, info = lapack.dtbtrs(ab, x, uplo="L", diag="U", overwrite_b=overwrite_x)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dtbtrs failed with info = {info}")
     return y
 
 
+def _qr(A: np.ndarray) -> np.ndarray:
+    """Householder QR of the Fortran-ordered [X | y], in place; returns its top rows.
+
+    LAPACK ``dgeqrf`` (the one bundled with numpy, no explicit Q) leaves R
+    on and above the diagonal of those rows, Q^T y in the last column, and
+    the Householder vectors below the diagonal, which callers must not
+    read as R. Raises :class:`RankError` when X has no more rows than
+    columns.
+    """
+    rows, cols = A.shape
+    if rows < cols:
+        raise RankError(f"underdetermined system: {rows} rows for {cols - 1} coefficients")
+    lwork = 3 * cols  # scipy's default workspace, so the blocking choice matches it
+    info = lapack_lite.dgeqrf(rows, cols, A.T, rows, np.empty(cols), np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
+    return A[:cols]
+
+
+def _solve(r: np.ndarray, rows: int) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(beta, sse, mse, standard errors) of the least-squares fit whose [X | y] factor :func:`_qr` left.
+
+    beta solves R beta = (Q^T y)[:cols], the residual sum of squares is
+    the squared bottom corner, and the standard errors are the row norms
+    of R^-1 scaled by the mse over ``rows`` - cols degrees of freedom.
+    Raises :class:`RankError` when X is rank deficient (pivot ratio below
+    1e-10).
+    """
+    c = r.shape[1] - 1
+    R = np.triu(r[:c, :c])
+    pivots = np.abs(np.diag(R))
+    if pivots.size and (pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0):
+        raise RankError("design matrix is rank deficient")
+    beta = np.linalg.solve(R, r[:c, c])
+    sse = float(r[c, c] ** 2)
+    mse = sse / (rows - c)
+    rinv = np.linalg.solve(R, np.eye(c))
+    return beta, sse, mse, np.sqrt(mse * np.sum(rinv * rinv, axis=1))
+
+
 def ols(X: np.ndarray, y) -> OlsResult:
     """Least squares fit of y on the columns of X.
 
-    One Householder QR of [X | y] (dgeqrf from the LAPACK bundled with
-    numpy, in place, no explicit Q) that keeps only R, whose last column
-    is Q^T y: beta solves R beta = (Q^T y)[:cols] and the residual sum of
-    squares is the squared bottom corner. The factor rides on the result
-    for :func:`~aoarima.outliers.joint_refit`.
-    Raises :class:`RankError` when the system is underdetermined or the
-    design is rank deficient (pivot ratio below 1e-10).
+    One Householder QR of [X | y] (:func:`_qr`) and the solve from its R
+    (:func:`_solve`); the residuals are y - X beta. Raises
+    :class:`RankError` when the system is underdetermined or the design
+    is rank deficient (pivot ratio below 1e-10).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -259,76 +299,57 @@ def ols(X: np.ndarray, y) -> OlsResult:
     rows, cols = X.shape
     if y.shape != (rows,):
         raise ValueError("y length must match the row count of X")
-    if rows <= cols:
-        raise RankError(f"underdetermined system: {rows} rows for {cols} coefficients")
-    k = cols + 1
-    xy = np.empty((k, rows))  # C-ordered (k, rows) is LAPACK's column-major (rows, k)
-    xy[:cols], xy[cols] = X.T, y
-    lwork = 3 * k  # scipy's default workspace, so the blocking choice matches it
-    info = lapack_lite.dgeqrf(rows, k, xy, rows, np.empty(k), np.empty(lwork), lwork, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
-    r = np.triu(xy[:, :k].T)
-    pivots = np.abs(np.diag(r)[:cols])
-    if pivots.size == 0 or pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0:
-        raise RankError("design matrix is rank deficient")
-    beta = np.linalg.solve(r[:cols, :cols], r[:cols, cols])
-    fitted = X @ beta
-    sse = float(r[cols, cols] ** 2)
-    df = rows - cols
-    mse = sse / df
-    rinv = np.linalg.solve(r[:cols, :cols], np.eye(cols))
-    xtx_inv_diag = np.sum(rinv * rinv, axis=1)
-    std = np.sqrt(mse * xtx_inv_diag)
-    res = OlsResult(
-        coefficients=tuple(float(b) for b in beta),
-        sse=sse,
-        mse=mse,
-        std_errors=tuple(float(s) for s in std),
-        fitted=fitted,
-        residuals=y - fitted,
-        df_residual=df,
-    )
-    object.__setattr__(res, "_r", r)  # not a field: equality and repr ignore it
-    return res
+    beta, sse, mse, std = _solve(_qr(np.asfortranarray(np.column_stack([X, y]))), rows)
+    return OlsResult(coefficients=tuple(map(float, beta)), sse=sse, mse=mse, std_errors=tuple(map(float, std)),
+                     residuals=y - X @ beta, df_residual=rows - cols)
 
 
-def _lagged_design(x: np.ndarray, p: int, with_intercept: bool, rows=slice(None)) -> tuple:
-    """X with columns 1, x_{t-1}, ..., x_{t-p} and y = x_t, for t >= p; ``rows`` of them only."""
+def _lagged_design(x: np.ndarray, p: int, with_intercept: bool, rows=slice(None)) -> np.ndarray:
+    """[1, x_{t-1}, ..., x_{t-p} | x_t] for t >= p, ``rows`` of them only, as one array.
+
+    Fortran-ordered, LAPACK's layout, so :func:`_qr` and the filter work
+    on it in place.
+    """
     y = x[p:][rows]
     k = 1 if with_intercept else 0
-    X = np.empty((y.size, k + p), order="F")
-    X[:, :k] = 1.0
+    A = np.empty((y.size, k + p + 1), order="F")
+    A[:, :k] = 1.0
     for i in range(1, p + 1):
-        X[:, k + i - 1] = x[p - i:x.size - i][rows]
-    return X, y
+        A[:, k + i - 1] = x[p - i:x.size - i][rows]
+    A[:, -1] = y
+    return A
 
 
 def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> ArimaFit:
-    """Fit an AR(p) by regressing each value on its p predecessors."""
+    """Fit an AR(p) by regressing each value on its p predecessors.
+
+    The residuals are the lag filter phi(B) run over the series, less the
+    intercept.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
     if series.n <= 2 * p + 2:
         raise LengthError(f"need more than {2 * p + 2} observations to fit AR({p})")
-    X, y = _lagged_design(series.values, p, with_intercept)
-    res = ols(X, y)
+    x = series.values
+    A = _lagged_design(x, p, with_intercept)
+    beta, sse, mse, std = _solve(_qr(A), A.shape[0])
     k = 1 if with_intercept else 0
-    intercept = res.coefficients[0] if with_intercept else 0.0
-    phi = tuple(res.coefficients[k:])
-    residuals = TimeSeries(res.residuals, start_index=series.start_index + p)
-    sigma2 = res.sse / residuals.n
+    intercept = float(beta[0]) if with_intercept else 0.0
+    phi = tuple(float(v) for v in beta[k:])
+    e = np.convolve(_lag_poly(phi), x)[p:x.size]
+    e -= intercept
     _warn_on_roots(phi, ())
     return ArimaFit(
         order=ArimaOrder(p, 0, 0),
         phi=phi,
         theta=(),
-        intercept=float(intercept),
+        intercept=intercept,
         with_intercept=with_intercept,
-        sigma2=float(sigma2),
-        residuals=residuals,
-        coefficient_std_errors=res.std_errors,
-        sse=res.sse,
-        mse=res.mse,
+        sigma2=sse / e.size,
+        residuals=TimeSeries(e, start_index=series.start_index + p),
+        coefficient_std_errors=tuple(float(s) for s in std),
+        sse=sse,
+        mse=mse,
     )
 
 
@@ -461,21 +482,15 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
     Returns None when the profiled phi is not stationary, or the design
     is rank deficient, at the chosen theta.
     """
-    X, y = _lagged_design(wv, p, with_intercept)
-    n, m = X.shape[0], X.shape[1] + 1
-    design = np.empty((n, m), order="F")
-    design[:, :-1], design[:, -1] = X, y
-    r = np.empty_like(design)  # LAPACK's layout: the filter and the QR both work in place
-    tau, work = np.empty(m), np.empty(3 * m)
+    design = _lagged_design(wv, p, with_intercept)
+    n, m = design.shape
+    a = np.empty_like(design)  # the per-theta working copy, filtered and factored in place
 
     def profile(z):
-        np.copyto(r, design)
+        np.copyto(a, design)
         if q:
-            _lfilter([1.0], [1.0, -math.tanh(z)], r, overwrite_x=True)
-        info = lapack_lite.dgeqrf(n, m, r.T, n, tau, work, work.size, 0)["info"]
-        if info != 0:
-            raise np.linalg.LinAlgError(f"LAPACK dgeqrf failed with info = {info}")
-        corner = float(r[m - 1, m - 1])
+            _lfilter([1.0], [1.0, -math.tanh(z)], a, overwrite_x=True)
+        corner = float(_qr(a)[m - 1, m - 1])
         sse = corner * corner  # inf, not an overflow warning, past the largest float
         if not math.isfinite(sse):
             raise ConvergenceError("the profiled conditional sum of squares is not finite")
@@ -491,11 +506,11 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
         brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
         z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
                 key=lambda t: t[1])[0]
-    profile(z)  # leaves the factor at the chosen theta in r
-    pivots = np.abs(np.diag(r)[:m - 1])
-    if pivots.size and (pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0):
+    profile(z)  # leaves the factor at the chosen theta in a
+    try:
+        coef = _solve(a[:m], n)[0]
+    except RankError:
         return None
-    coef = np.linalg.solve(np.triu(r[:m - 1, :m - 1]), r[:m - 1, m - 1]) if m > 1 else np.zeros(0)
     k = 1 if with_intercept else 0
     phi = coef[k:]
     if min_ar_root_modulus(phi) <= 1.0 + _ROOT_TOL:

@@ -40,10 +40,12 @@ from .estimation import (
     OlsResult,
     PiWeights,
     _filter_backward,
+    _lag_poly,
     _lagged_design,
+    _qr,
+    _solve,
     fit_arima,
     filter_residuals,
-    ols,
     pi_weights,
     sigma_hat,
 )
@@ -212,23 +214,25 @@ def joint_refit(series: TimeSeries, outlier_times, p: int, with_intercept: bool 
         raise RankError("design matrix is rank deficient")
     keep = np.ones(series.n - p, dtype=bool)
     keep[rows] = False
-    base = ols(*_lagged_design(x, p, with_intercept, keep))
-    r = base._r
+    r = _qr(_lagged_design(x, p, with_intercept, keep))
     c = r.shape[1] - 1
-    a, y = _lagged_design(x, p, with_intercept, rows)
-    omega = y - a @ np.asarray(base.coefficients)
-    z = np.linalg.solve(r[:c, :c].T, a.T)
-    std = np.sqrt(base.mse * (1.0 + np.sum(z * z, axis=0)))
-    residuals = np.zeros(keep.size)
-    residuals[keep] = base.residuals
-    res = replace(base, coefficients=base.coefficients + tuple(float(w) for w in omega),
-                  std_errors=base.std_errors + tuple(float(s) for s in std),
-                  fitted=x[p:] - residuals, residuals=residuals)
-    sse = [base.sse]
-    for j in range(len(times) - 1, -1, -1):
-        r = np.linalg.qr(np.vstack([r, np.append(a[j], y[j])]), mode="r")
-        sse.append(float(r[c, c] ** 2))
-    object.__setattr__(res, "_nested_sse", sse[::-1])  # not a field: equality and repr ignore it
+    beta, sse, mse, std = _solve(r, keep.size - rows.size)
+    a = _lagged_design(x, p, with_intercept, rows)  # [lags | y] at the indicator rows
+    omega = a[:, c] - a[:, :c] @ beta
+    z = np.linalg.solve(np.triu(r[:c, :c]).T, a[:, :c].T)
+    std_omega = np.sqrt(mse * (1.0 + np.sum(z * z, axis=0)))
+    k = 1 if with_intercept else 0
+    e = np.convolve(_lag_poly(beta[k:]), x)[p:x.size]
+    e -= beta[0] if with_intercept else 0.0
+    e[rows] = 0.0  # each indicator fits its row exactly
+    res = OlsResult(coefficients=tuple(map(float, np.concatenate([beta, omega]))), sse=sse, mse=mse,
+                    std_errors=tuple(map(float, np.concatenate([std, std_omega]))), residuals=e,
+                    df_residual=keep.size - rows.size - c)
+    sses = [sse]
+    for j in range(len(times) - 1, -1, -1):  # R over one more row, factored again
+        r = _qr(np.asfortranarray(np.vstack([np.triu(r), a[j]])))
+        sses.append(float(r[c, c] ** 2))
+    object.__setattr__(res, "_nested_sse", sses[::-1])  # not a field: equality and repr ignore it
     return res
 
 

@@ -42,6 +42,28 @@ class TestReadSeriesCsv:
         p.write_text("t,value\n1,10.0\n2,11.0\n")
         assert read_series_csv(str(p)).values.tolist() == [10.0, 11.0]
 
+    def test_first_t_is_the_start_index(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("t,value\n1001,10.0\n1002,11.0\n\n1003,12.0\n")
+        series = read_series_csv(str(p))
+        assert series.start_index == 1001
+        assert series.labels().tolist() == [1001, 1002, 1003]
+        assert series.values.tolist() == [10.0, 11.0, 12.0]
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,value\n1001,1.0\nfoo,2.0\n1005,3.0\n", 3),  # not an integer
+        ("t,value\n1001,1.0\n1002,2.0\n1005,3.0\n", 4),  # a gap
+        ("1,1.0\n2,2.0\n2,3.0\n", 3),  # a repeat, without a header
+        ("t,value\n5,1.0\n4,2.0\n", 3),  # counting down
+        ("t,value\n1,1.0\n2.5,2.0\n", 3),  # not an integer label
+    ])
+    def test_t_must_be_consecutive_integers(self, tmp_path, text, line):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_series_csv(str(p))
+        assert err.value.line == line
+
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("value\n1.0\noops\n")
@@ -94,6 +116,20 @@ class TestFitCommand:
         assert main(["fit", "--input", str(p), "--order", "1,0,0"]) == EXIT_MODEL
         err = capsys.readouterr().err
         assert "hint" in err
+
+    def test_default_lags_on_a_short_series_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        values = np.random.default_rng(1).standard_normal(30)
+        p.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        assert main(["fit", "--input", str(p), "--order", "1,0,0"]) == EXIT_MODEL  # lag 36 of 29 residuals
+        assert "lag 36" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lags", ["", "0", "12,x"])
+    def test_bad_lags_exit_2(self, lags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", demo_csv(), "--order", "2,0,0", "--lags", lags])
+        assert exc.value.code == EXIT_INPUT
+        assert "--lags" in capsys.readouterr().err
 
     def test_plot_data_emitted(self, tmp_path):
         plots = tmp_path / "plots"
@@ -157,6 +193,35 @@ class TestDetectCommand:
         ])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["outliers"] == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-outliers", "0"),
+        ("--max-iterations", "0"),
+        ("--critical", "0"),
+        ("--critical", "nan"),
+        ("--critical", "inf"),
+        ("--scan-margin", "-1"),
+    ])
+    def test_bad_option_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--input", demo_csv(), "--order", "2,0,0", flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+
+    def test_labels_follow_the_t_column(self, tmp_path):
+        values = read_series_csv(demo_csv()).values
+        labelled = tmp_path / "labelled.csv"
+        rows = (f"{1000 + i},{v!r}\n" for i, v in enumerate(values.tolist(), 1))
+        labelled.write_text("t,value\n" + "".join(rows))
+        out, corrected = tmp_path / "detect.json", tmp_path / "corrected.csv"
+        code = main([
+            "detect", "--input", str(labelled), "--order", "2,0,0",
+            "--format", "json", "--output", str(out), "--corrected-output", str(corrected),
+        ])
+        assert code == EXIT_OK
+        assert [r["T"] for r in json.loads(out.read_text())["outliers"]] == [1098, 1162, 1180]
+        lines = corrected.read_text().splitlines()
+        assert lines[1].startswith("1001,") and lines[-1].startswith("1200,")
 
     def test_corrected_series_csv(self, tmp_path):
         corrected = tmp_path / "corrected.csv"
@@ -289,6 +354,25 @@ class TestSimulateCommand:
         ])
         assert code == EXIT_MODEL
         assert "root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"),
+        ("--sigma", "-1"),
+        ("--sigma", "nan"),
+        ("--burn-in", "-1"),
+        ("--d", "3"),
+        ("--phi", "nan"),
+        ("--intercept", "inf"),
+        ("--inject", "3:nan"),
+        ("--inject", "3"),
+    ])
+    def test_bad_option_exits_2(self, tmp_path, flag, value, capsys):
+        args = {"--n": "50", "--seed": "3", "--output": str(tmp_path / "s.csv"), flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *(v for item in args.items() for v in item)])
+        assert exc.value.code == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_header_is_value(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -9,6 +9,7 @@ from aoarima import (
     ArimaOrder,
     DegenerateError,
     DomainError,
+    LengthError,
     SimSpec,
     TimeSeries,
     chi_square_sf,
@@ -115,6 +116,12 @@ class TestLjungBox:
         y = simulate(SimSpec(order=ArimaOrder(0, 0, 0), n=100, seed=1))
         with pytest.raises(DomainError):
             ljung_box(y, [2], fitted_params=2)
+
+    def test_lag_must_be_below_the_series_length(self):
+        y = simulate(SimSpec(order=ArimaOrder(0, 0, 0), n=29, seed=1))
+        assert len(ljung_box(y, [28])) == 1
+        with pytest.raises(LengthError):
+            ljung_box(y, [12, 29])
 
     def test_df_accounting(self):
         y = simulate(SimSpec(order=ArimaOrder(0, 0, 0), n=200, seed=2))

@@ -38,6 +38,7 @@ from aoarima.estimation import (
     _lag_poly,
     _lagged_design,
     _lfilter,
+    _qr,
     min_ar_root_modulus,
     min_ma_root_modulus,
 )
@@ -511,9 +512,8 @@ class TestNumpyPathAgainstScipy:
         assert _lfilter([1.0, -0.5], [1.0], np.zeros(0)).size == 0
 
     @staticmethod
-    def _scipy_r(X, y):
-        xy = np.asfortranarray(np.column_stack([X, y]))
-        return np.triu(linalg.lapack.dgeqrf(xy, overwrite_a=True)[0][:X.shape[1] + 1])
+    def _scipy_r(A):
+        return np.triu(linalg.lapack.dgeqrf(A.copy(order="F"), overwrite_a=True)[0][:A.shape[1]])
 
     @pytest.mark.parametrize("source", ["demo", "ar2_n20000"])
     @pytest.mark.parametrize("with_intercept", [True, False])
@@ -522,16 +522,19 @@ class TestNumpyPathAgainstScipy:
             x = demo_dataset()[0]
         else:
             x = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=20_000, seed=20_000, phi=(0.5, 0.3)))
-        X, y = _lagged_design(x.values, 2, with_intercept)
-        res = ols(X, y)
-        assert np.array_equal(res._r, self._scipy_r(X, y))
-        assert np.array_equal(ols(np.ascontiguousarray(X), y)._r, res._r)
+        A = _lagged_design(x.values, 2, with_intercept)
+        want = self._scipy_r(A)
+        c = A.shape[1] - 1
+        res = ols(np.ascontiguousarray(A[:, :c]), A[:, c])  # before _qr overwrites A
+        assert np.array_equal(np.triu(_qr(A)), want)
+        assert res.sse == float(want[c, c] ** 2)
+        assert res.coefficients == tuple(np.linalg.solve(want[:c, :c], want[:c, c]))
 
     def test_ols_still_raises_on_rank_deficient_design(self):
         x = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=20_000, seed=20_000, phi=(0.5, 0.3)))
-        X, y = _lagged_design(x.values, 2, True)
+        A = _lagged_design(x.values, 2, True)
         with pytest.raises(RankError):
-            ols(np.column_stack([X, 2.0 * X[:, 1]]), y)
+            ols(np.column_stack([A[:, :-1], 2.0 * A[:, 1]]), A[:, -1])
 
 
 class TestBandedFilterAgainstScipy:

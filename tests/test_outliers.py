@@ -442,13 +442,15 @@ class TestJointRefit:
         assert om[0] == pytest.approx(8.0, abs=1.5)
         assert om[1] == pytest.approx(-8.0, abs=1.5)
 
-    @pytest.mark.parametrize("n, seed, times, with_intercept, start", [
+    DENSE_CASES = [
         (200, 20180967, [98, 162, 180], True, 1),
         (200, 20180967, [180, 3, 98, 200], True, 1),  # first and last regression rows
         (120, 5, [40, 41, 42], False, 1),  # adjacent indicators
         (300, 8, [], True, 1),
         (150, 9, [1060, 1010, 1100], True, 1001),  # labels offset by the start index
-    ])
+    ]
+
+    @pytest.mark.parametrize("n, seed, times, with_intercept, start", DENSE_CASES)
     def test_matches_dense_indicator_regression(self, n, seed, times, with_intercept, start):
         z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=n, seed=seed, phi=DEMO_PHI))
         y = TimeSeries(z.values + 3.0, start_index=start)
@@ -456,12 +458,32 @@ class TestJointRefit:
         want = joint_refit_dense(y, times, 2, with_intercept)
         for field in ("coefficients", "std_errors"):
             assert np.allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0.0), field
-        for field in ("fitted", "residuals"):  # exact zeros at the indicator rows against ~1e-16
-            tol = 1e-12 * np.abs(y.values).max()
-            assert np.allclose(getattr(got, field), getattr(want, field), rtol=0.0, atol=tol), field
+        # exact zeros at the indicator rows against ~1e-16
+        tol = 1e-12 * np.abs(y.values).max()
+        assert np.allclose(got.residuals, want.residuals, rtol=0.0, atol=tol)
         assert got.sse == pytest.approx(want.sse, rel=1e-12)
         assert got.mse == pytest.approx(want.mse, rel=1e-12)
         assert got.df_residual == want.df_residual
+
+    @pytest.mark.parametrize("n, seed, times, with_intercept, start",
+                             DENSE_CASES + [(20_000, 20_000, [3, 5_000, 12_001, 20_000], True, 1)])
+    def test_lag_filter_residuals_match_the_regression_residuals(self, n, seed, times, with_intercept, start):
+        # differential: the residuals of fit_ar_ols and joint_refit were y - X beta from ols
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=n, seed=seed, phi=DEMO_PHI))
+        y = TimeSeries(z.values + 3.0, start_index=start)
+        k = 1 if with_intercept else 0
+        X = np.column_stack([np.ones((n - 2, k)), y.values[1:-1], y.values[:-2]])
+        tol = 1e-14 * np.abs(y.values).max()
+        fit, want = fit_ar_ols(y, 2, with_intercept), ols(X, y.values[2:])
+        assert (fit.intercept,) * k + fit.phi == want.coefficients
+        assert np.allclose(fit.residuals.values, want.residuals, rtol=0.0, atol=tol)
+        rows = np.array(times, dtype=int) - (start + 2)
+        keep = np.ones(n - 2, dtype=bool)
+        keep[rows] = False
+        got, want = joint_refit(y, times, 2, with_intercept), ols(X[keep], y.values[2:][keep])
+        assert got.coefficients[:k + 2] == want.coefficients
+        assert np.allclose(got.residuals[keep], want.residuals, rtol=0.0, atol=tol)
+        assert np.all(got.residuals[rows] == 0.0)
 
     @pytest.mark.parametrize("label", [0, 2, 101])
     def test_label_outside_the_rows_rejected(self, label):

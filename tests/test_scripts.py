@@ -1,5 +1,6 @@
 """The scripts are the only non-test callers of the public API: run each in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,11 +17,35 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("css_parity.py", ["--seeds", "3"], ["PASS"]),
 ])
 def test_script_runs(script, args, expected):
-    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
-    )
+    proc = run(script, *args)
     assert proc.returncode == 0, proc.stderr
     for text in expected:
         assert text in proc.stdout
+
+
+def run(script, *args):
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+
+
+def test_output_parity_of_two_dumps(tmp_path):
+    dumps = [str(tmp_path / f"{name}.json") for name in "ab"]
+    for out in dumps:
+        proc = run("output_parity.py", "dump", "--workload", "arima_css", "--seeds", "401",
+                   "--series", "4", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+    proc = run("output_parity.py", "compare", *dumps)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "labels equal on 4 of 4 series, terminated_by on 4" in proc.stdout
+    assert "PASS" in proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines() if line.startswith(("fit.", "outliers"))]
+    assert rows and all(row[1] == row[2] for row in rows)  # every number bit-identical
+    record = json.loads(open(dumps[1]).read())
+    record["series"]["401/2"]["labels"]["terminated_by"] = "max_iterations"
+    with open(dumps[1], "w") as fh:
+        json.dump(record, fh)
+    proc = run("output_parity.py", "compare", *dumps)
+    assert proc.returncode == 1 and "FAIL: labels or terminated_by differ on 401/2" in proc.stdout
