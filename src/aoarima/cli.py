@@ -447,7 +447,10 @@ def _parse_order(text: str) -> ArimaOrder:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("order must be three comma-separated integers p,d,q")
-    return ArimaOrder(*(int(v) for v in parts))
+    order = ArimaOrder(*(int(v) for v in parts))
+    if order.p + order.q == 0:
+        raise ValueError("a model needs p + q >= 1")
+    return order
 
 
 def _parse_injection(chunk: str) -> tuple:

@@ -320,12 +320,20 @@ def _lagged_design(x: np.ndarray, p: int, with_intercept: bool, rows=slice(None)
     return A
 
 
-def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> ArimaFit:
-    """Fit an AR(p) by regressing each value on its p predecessors.
+def _lag_residuals(x: np.ndarray, beta: np.ndarray, with_intercept: bool) -> np.ndarray:
+    """x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p} for t >= p, from beta = (c, phi) or phi.
 
-    The residuals are the lag filter phi(B) run over the series, less the
-    intercept.
+    The lag filter phi(B) run over x, less the intercept c: the residuals
+    of every row of the lag design, in one new array.
     """
+    k = 1 if with_intercept else 0
+    e = np.convolve(_lag_poly(beta[k:]), x)[beta.size - k:x.size]
+    e -= beta[0] if with_intercept else 0.0
+    return e
+
+
+def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> ArimaFit:
+    """Fit an AR(p) by regressing each value on its p predecessors."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if series.n <= 2 * p + 2:
@@ -336,8 +344,7 @@ def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> Arima
     k = 1 if with_intercept else 0
     intercept = float(beta[0]) if with_intercept else 0.0
     phi = tuple(float(v) for v in beta[k:])
-    e = np.convolve(_lag_poly(phi), x)[p:x.size]
-    e -= intercept
+    e = _lag_residuals(x, beta, with_intercept)
     _warn_on_roots(phi, ())
     return ArimaFit(
         order=ArimaOrder(p, 0, 0),

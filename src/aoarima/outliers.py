@@ -40,7 +40,7 @@ from .estimation import (
     OlsResult,
     PiWeights,
     _filter_backward,
-    _lag_poly,
+    _lag_residuals,
     _lagged_design,
     _qr,
     _solve,
@@ -221,9 +221,7 @@ def joint_refit(series: TimeSeries, outlier_times, p: int, with_intercept: bool 
     omega = a[:, c] - a[:, :c] @ beta
     z = np.linalg.solve(np.triu(r[:c, :c]).T, a[:, :c].T)
     std_omega = np.sqrt(mse * (1.0 + np.sum(z * z, axis=0)))
-    k = 1 if with_intercept else 0
-    e = np.convolve(_lag_poly(beta[k:]), x)[p:x.size]
-    e -= beta[0] if with_intercept else 0.0
+    e = _lag_residuals(x, beta, with_intercept)
     e[rows] = 0.0  # each indicator fits its row exactly
     res = OlsResult(coefficients=tuple(map(float, np.concatenate([beta, omega]))), sse=sse, mse=mse,
                     std_errors=tuple(map(float, np.concatenate([std, std_omega]))), residuals=e,

@@ -124,6 +124,14 @@ class TestFitCommand:
         assert main(["fit", "--input", str(p), "--order", "1,0,0"]) == EXIT_MODEL  # lag 36 of 29 residuals
         assert "lag 36" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "detect"])
+    @pytest.mark.parametrize("order", ["0,1,0", "0,0,0", "1,3,0", "1,0", "a,0,0"])
+    def test_bad_order_exits_2(self, command, order, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", demo_csv(), "--order", order])
+        assert exc.value.code == EXIT_INPUT
+        assert "--order" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lags", ["", "0", "12,x"])
     def test_bad_lags_exit_2(self, lags, capsys):
         with pytest.raises(SystemExit) as exc:
