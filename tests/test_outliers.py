@@ -468,7 +468,7 @@ class TestJointRefit:
     @pytest.mark.parametrize("n, seed, times, with_intercept, start",
                              DENSE_CASES + [(20_000, 20_000, [3, 5_000, 12_001, 20_000], True, 1)])
     def test_lag_filter_residuals_match_the_regression_residuals(self, n, seed, times, with_intercept, start):
-        # differential: the residuals of fit_ar_ols and joint_refit were y - X beta from ols
+        # differential: the lag-filter residuals against y - X beta from the public ols
         z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=n, seed=seed, phi=DEMO_PHI))
         y = TimeSeries(z.values + 3.0, start_index=start)
         k = 1 if with_intercept else 0
