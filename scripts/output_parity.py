@@ -4,7 +4,10 @@
 ``dump`` runs ``fit_arima`` and then ``detect_iterative`` (with the
 workload's order and critical value, an intercept, and warnings off) on
 the series of one benchmark workload (``perfbench/inputs.py``) for each
-given seed, and writes every number they return to a JSON file. JSON
+given seed, and writes every number they return to a JSON file.
+``--order p,d,q`` fits that order instead of the workload's, so a path
+the workloads do not take (say the Levenberg-Marquardt CSS solve of
+q >= 2) gets the same comparison. JSON
 writes a float as its shortest round-trip repr, so the dump keeps every
 bit. The ``aoarima`` imported is whatever ``PYTHONPATH`` names, so two
 checkouts are compared by dumping from each:
@@ -13,12 +16,15 @@ checkouts are compared by dumping from each:
     PYTHONPATH=B/src python3 scripts/output_parity.py dump --workload ar_long --seeds 401 402 --out b.json
     python3 scripts/output_parity.py compare a.json b.json
 
+    PYTHONPATH=A/src python3 scripts/output_parity.py dump --workload arima_css --order 1,1,2 \
+        --seeds 401 --out a112.json
+
 ``compare`` prints, for each field group, how many numbers are bit for bit
 equal, and the largest difference relative to the field's largest
 magnitude (over every series). The labels (outlier positions and the
 iterations that found them, iterations run, the final model's kind) and
 ``terminated_by`` must be equal: it exits 1 when they are not, or when
-the two dumps are of different series.
+the two dumps are of different series or orders.
 """
 
 import argparse
@@ -78,13 +84,15 @@ def dump(args) -> int:
     import aoarima
 
     spec = inputs.WORKLOADS[args.workload]
-    order = aoarima.ArimaOrder(*spec["order"])
-    out = {"workload": args.workload, "aoarima": aoarima.__file__, "series": {}}
+    order = aoarima.ArimaOrder(*(args.order or spec["order"]))
+    out = {"workload": args.workload, "order": [order.p, order.d, order.q], "aoarima": aoarima.__file__,
+           "series": {}}
     for seed in args.seeds:
         for i, case in enumerate(inputs.make_cases(args.workload, seed)[:args.series]):
             out["series"][f"{seed}/{i}"] = record(case.values, order, spec["critical"])
     Path(args.out).write_text(json.dumps(out))
-    print(f"wrote {len(out['series'])} series of {args.workload} from {out['aoarima']} to {args.out}")
+    print(f"wrote {len(out['series'])} series of {args.workload} at order {out['order']} "
+          f"from {out['aoarima']} to {args.out}")
     return 0
 
 
@@ -94,11 +102,12 @@ def _bits(values) -> np.ndarray:
 
 def compare(args) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
-    if a["workload"] != b["workload"] or a["series"].keys() != b["series"].keys():
-        print(f"FAIL: the dumps are of different series ({a['workload']}, {b['workload']})")
+    if (a["workload"], a["order"]) != (b["workload"], b["order"]) or a["series"].keys() != b["series"].keys():
+        print(f"FAIL: the dumps are of different series or orders ({a['workload']} {a['order']}, "
+              f"{b['workload']} {b['order']})")
         return 1
     mismatched = [key for key in a["series"] if a["series"][key]["labels"] != b["series"][key]["labels"]]
-    print(f"{a['workload']}: {len(a['series'])} series; {args.a} against {args.b}")
+    print(f"{a['workload']} at order {a['order']}: {len(a['series'])} series; {args.a} against {args.b}")
     print(f"{'field group':<18}{'numbers':>10}{'bit-identical':>15}{'max |diff| / max |a|':>22}")
     for group in GROUPS:
         total = same = 0
@@ -129,6 +138,8 @@ def main() -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     d = sub.add_parser("dump", help="write every number of the loop on a workload's series")
     d.add_argument("--workload", choices=sorted(inputs.WORKLOADS), required=True)
+    d.add_argument("--order", type=lambda text: tuple(int(v) for v in text.split(",")), default=None,
+                   metavar="P,D,Q", help="fit this order instead of the workload's")
     d.add_argument("--seeds", type=int, nargs="+", required=True, help="input seeds")
     d.add_argument("--series", type=int, default=None, help="only the first SERIES series of each seed")
     d.add_argument("--out", required=True, help="JSON file to write")

@@ -510,6 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate":  # the labels' range depends on --n, so no argparse type can check it
+        labels = [t for t, _ in args.inject]
+        if len(set(labels)) != len(labels) or not all(1 <= t <= args.n for t in labels):
+            parser.error(f"argument --inject: labels must be distinct and within [1, {args.n}]")
     try:
         if args.command == "fit":
             report = cmd_fit(args)

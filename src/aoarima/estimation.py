@@ -2,12 +2,16 @@
 
 AR models are estimated by ordinary least squares on lagged regressors;
 models with an MA part by minimizing the conditional sum of squares
-(CSS). With one MA coefficient the CSS residuals are linear in the
-intercept and phi for a fixed theta, so those are profiled out by one QR
-and theta is searched alone, on a grid and by a Brent polish (variable
-projection). With more, or when the profiled phi is not stationary, a
-Levenberg-Marquardt least-squares solve runs over the partial
-autocorrelations of phi and theta. Standard errors come from the
+(CSS). Every fit's conditional residual is the one :func:`_lag_residuals`:
+x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p}, passed through
+1 / theta(B) when there is an MA part. Both fits report in the intercept
+coordinates (c, phi, theta) of that residual. With one MA coefficient the
+CSS residuals are linear in c and phi for a fixed theta, so those are
+profiled out by one QR and theta is searched alone, on a grid and by a
+Brent polish (variable projection). With more, or when the profiled phi
+is not stationary, a Levenberg-Marquardt least-squares solve searches
+over the process mean and the partial autocorrelations of phi and theta,
+mapping each point to (c, phi, theta). Standard errors come from the
 analytic Jacobian of the residuals. Both report two variance estimates
 that must not be conflated:
 
@@ -170,7 +174,7 @@ def _lag_poly(coeffs) -> np.ndarray:
     return np.concatenate([[1.0], -np.asarray(coeffs, dtype=float)])
 
 
-def _poly_min_root_modulus(coeffs) -> float:
+def min_root_modulus(coeffs) -> float:
     """Smallest root modulus of 1 - c_1 z - ... - c_k z^k (inf if degree 0).
 
     Solved as the reciprocal of the largest root of the monic reversed
@@ -182,23 +186,15 @@ def _poly_min_root_modulus(coeffs) -> float:
     return math.inf if top == 0.0 else 1.0 / top
 
 
-def min_ar_root_modulus(phi) -> float:
-    return _poly_min_root_modulus(phi)
-
-
-def min_ma_root_modulus(theta) -> float:
-    return _poly_min_root_modulus(theta)
-
-
 def _warn_on_roots(phi, theta) -> None:
-    if min_ar_root_modulus(phi) <= 1.0 + _ROOT_TOL:
+    if min_root_modulus(phi) <= 1.0 + _ROOT_TOL:
         warnings.warn(
             "AR polynomial has a root on or inside the unit circle; "
             "estimates are at the stationarity boundary",
             NonStationaryWarning,
             stacklevel=3,
         )
-    if min_ma_root_modulus(theta) <= 1.0 + _ROOT_TOL:
+    if min_root_modulus(theta) <= 1.0 + _ROOT_TOL:
         warnings.warn(
             "MA polynomial has a root on or inside the unit circle; "
             "estimates are at the invertibility boundary",
@@ -320,16 +316,19 @@ def _lagged_design(x: np.ndarray, p: int, with_intercept: bool, rows=slice(None)
     return A
 
 
-def _lag_residuals(x: np.ndarray, beta: np.ndarray, with_intercept: bool) -> np.ndarray:
-    """x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p} for t >= p, from beta = (c, phi) or phi.
+def _lag_residuals(x: np.ndarray, beta: np.ndarray, with_intercept: bool, theta=()) -> np.ndarray:
+    """theta(B)^-1 (x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p}), t >= p, for beta = (c, phi) or phi.
 
-    The lag filter phi(B) run over x, less the intercept c: the residuals
-    of every row of the lag design, in one new array.
+    The conditional residuals of every fit, in one new array: the lag
+    filter phi(B) run over x, less the intercept c (the residuals of every
+    row of the lag design), then, given an MA part theta, the recursion
+    a_t = u_t + theta_1 a_{t-1} + ... + theta_q a_{t-q} with zero
+    pre-sample shocks.
     """
     k = 1 if with_intercept else 0
     e = np.convolve(_lag_poly(beta[k:]), x)[beta.size - k:x.size]
     e -= beta[0] if with_intercept else 0.0
-    return e
+    return _lfilter([1.0], _lag_poly(theta), e) if len(theta) else e
 
 
 def fit_ar_ols(series: TimeSeries, p: int, with_intercept: bool = True) -> ArimaFit:
@@ -387,38 +386,19 @@ def _from_pacf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coef, jac * (1.0 - r * r)
 
 
-def _css_residuals(w: np.ndarray, mean: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Conditional residuals of an ARMA recursion.
+def _css_jacobian(w: np.ndarray, a: np.ndarray, beta: np.ndarray, theta: np.ndarray,
+                  with_intercept: bool) -> np.ndarray:
+    """d a / d (c, phi, theta) of the residuals a = _lag_residuals(w, beta, with_intercept, theta).
 
-    Conditions on the first p observations and sets pre-sample shocks to
-    zero, so the output has length len(w) - p.
+    The derivative filters of BJR ch. 7: the c and phi_i columns are the
+    negated columns 1, w_{t-i} of the lag design, the theta_j columns the
+    residuals shifted by j; each passed through 1 / theta(B) with zero
+    initial state.
     """
-    p = phi.size
-    q = theta.size
-    wt = w - mean
-    u = wt[p:].copy()
-    for i in range(1, p + 1):
-        u -= phi[i - 1] * wt[p - i:wt.size - i]
-    if q == 0:
-        return u
-    # a_t = u_t + theta_1 a_{t-1} + ... + theta_q a_{t-q}, zero initial state
-    return _lfilter([1.0], _lag_poly(theta), u)
-
-
-def _css_jacobian(w: np.ndarray, a: np.ndarray, mean: float, phi: np.ndarray,
-                  theta: np.ndarray, with_intercept: bool) -> np.ndarray:
-    """d a / d (mean, phi, theta) by the derivative filters of BJR ch. 7.
-
-    The mean and phi_i columns are the constant -(1 - sum phi) and the
-    lagged, centred series -w_{t-i}, the theta_j columns the residuals
-    shifted by j; each passed through 1 / theta(B) with zero initial state.
-    """
-    p, q, n = phi.size, theta.size, a.size
     k = 1 if with_intercept else 0
+    p, q, n = beta.size - k, len(theta), a.size
     J = np.empty((n, k + p + q), order="F")  # LAPACK's layout, so the filter solves it in place
-    J[:, :k] = phi.sum() - 1.0
-    for i in range(1, p + 1):
-        np.subtract(mean, w[p - i:w.size - i], out=J[:, k + i - 1])
+    np.negative(_lagged_design(w, p, with_intercept)[:, :-1], out=J[:, :k + p])
     for j in range(1, q + 1):
         J[:j, k + p + j - 1] = 0.0
         J[j:, k + p + j - 1] = a[:n - j]
@@ -476,13 +456,14 @@ _Z_EDGE = 15.0
 
 
 def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
-    """(mean, phi, theta) minimizing the CSS of a q <= 1 model by variable projection.
+    """(beta = (c, phi), theta) minimizing the CSS of a q <= 1 model by variable projection.
 
-    For a fixed theta the residuals theta(B)^-1 (w_t - c - sum phi_i w_{t-i})
-    are linear in (c, phi): one Householder QR of the lag design
-    [1, w_{t-1}, ..., w_{t-p} | w_t] run through 1 / theta(B) gives the
-    profiled sum of squares as its squared bottom corner, and (c, phi)
-    from R (Golub & Pereyra 1973; Kaufman 1975). theta is then found by a
+    For a fixed theta the residuals of :func:`_lag_residuals`,
+    theta(B)^-1 (w_t - c - sum phi_i w_{t-i}), are linear in (c, phi): one
+    Householder QR of the lag design [1, w_{t-1}, ..., w_{t-p} | w_t] run
+    through 1 / theta(B) gives the profiled sum of squares as its squared
+    bottom corner, and (c, phi) from R (Golub & Pereyra 1973; Kaufman
+    1975). theta is then found by a
     grid in z = atanh(theta) and a Brent polish of every strict interior
     grid minimum, keeping the lowest. Only a profile falling to an edge of
     the grid is followed out towards that end of the invertible region.
@@ -518,24 +499,24 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
         coef = _solve(a[:m], n)[0]
     except RankError:
         return None
-    k = 1 if with_intercept else 0
-    phi = coef[k:]
-    if min_ar_root_modulus(phi) <= 1.0 + _ROOT_TOL:
+    if min_root_modulus(coef[1 if with_intercept else 0:]) <= 1.0 + _ROOT_TOL:
         return None
-    mean = float(coef[0]) / (1.0 - phi.sum()) if with_intercept else 0.0
-    return mean, phi, np.full(q, math.tanh(z))
+    return coef, np.full(q, math.tanh(z))
 
 
 def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
-    """(mean, phi, theta) minimizing the CSS by Levenberg-Marquardt in tanh-PACF coordinates.
+    """(beta = (c, phi), theta) minimizing the CSS by Levenberg-Marquardt in tanh-PACF coordinates.
 
-    phi and theta are each parametrized by the arctanh of their partial
-    autocorrelations, so every iterate is stationary and invertible; a fit
-    that would leave that region stops on its boundary. The solve uses the
-    analytic Jacobian of the residual vector and starts from the
-    Yule-Walker estimate for phi (zeros if it breaks down) and zeros for
-    theta; models with both an AR and an MA part also start from MA
-    partial autocorrelations of +/-0.5 and keep the lowest sum of squares.
+    The search runs over the process mean and the arctanh of the partial
+    autocorrelations of phi and of theta, so every iterate is stationary
+    and invertible; a fit that would leave that region stops on its
+    boundary. Each point maps to the intercept c = mean (1 - sum phi) for
+    :func:`_lag_residuals`, and the analytic Jacobian of
+    :func:`_css_jacobian` is chained back through that map. The solve
+    starts from the sample mean, the Yule-Walker estimate for phi (zeros
+    if it breaks down) and zeros for theta; models with both an AR and an
+    MA part also start from MA partial autocorrelations of +/-0.5 and keep
+    the lowest sum of squares.
     """
     from scipy import optimize
 
@@ -552,20 +533,24 @@ def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
     def unpack(x):
         phi, dphi = _from_pacf(x[k:k + p])
         theta, dtheta = _from_pacf(x[k + p:])
-        return (x[0] if with_intercept else 0.0), phi, dphi, theta, dtheta
+        beta = np.concatenate([[x[0] * (1.0 - phi.sum())] if with_intercept else [], phi])
+        return beta, dphi, theta, dtheta
 
     last = [None, None, None]  # x, unpack(x) and residuals of the latest resid call
 
     def resid(x):
         u = unpack(x)
-        last[:] = x.copy(), u, _css_residuals(wv, u[0], u[1], u[3])
+        last[:] = x.copy(), u, _lag_residuals(wv, u[0], with_intercept, u[2])
         return last[2]
 
     def jac(x):
         if not np.array_equal(x, last[0]):  # the solver mostly asks at its latest residual point
             resid(x)
-        (mean, phi, dphi, theta, dtheta), a = last[1:]
-        J = _css_jacobian(wv, a, mean, phi, theta, with_intercept)
+        (beta, dphi, theta, dtheta), a = last[1:]
+        J = _css_jacobian(wv, a, beta, theta, with_intercept)
+        if with_intercept:  # from d/d(c, phi) to d/d(mean, phi), through c = mean (1 - sum phi)
+            J[:, 1:1 + p] -= J[:, :1] * x[0]
+            J[:, 0] *= 1.0 - beta[1:].sum()
         J[:, k:k + p] = J[:, k:k + p] @ dphi
         J[:, k + p:] = J[:, k + p:] @ dtheta
         return J
@@ -578,8 +563,8 @@ def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
                for r0 in ma_starts), key=lambda r: r.cost)
     if res.status <= 0:
         raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
-    mean, phi, _, theta, _ = unpack(res.x)
-    return mean, phi, theta
+    beta, _, theta, _ = unpack(res.x)
+    return beta, theta
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
@@ -600,9 +585,10 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     phi is not stationary, the objective is minimized by
     Levenberg-Marquardt over the partial autocorrelations of phi and
     theta from a few starts (:func:`_css_lm`), keeping the lowest end
-    point, which may lie on the boundary. Standard errors come from the
-    analytic Jacobian of the residuals at the optimum, taken in the
-    reported (intercept, phi, theta) coordinates.
+    point, which may lie on the boundary. Both return the intercept form
+    (c, phi, theta) that is reported; the residuals are
+    :func:`_lag_residuals` and the standard errors come from their
+    analytic Jacobian (:func:`_css_jacobian`) at the optimum.
     """
     p, d, q = order.p, order.d, order.q
     if p + q < 1:
@@ -614,21 +600,15 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     k = 1 if with_intercept else 0
     n_par = k + p + q
     est = _css_projection(wv, p, q, with_intercept) if q <= 1 else None
-    mean, phi_v, theta_v = est if est is not None else _css_lm(w, p, q, with_intercept)
-    a = _css_residuals(wv, mean, phi_v, theta_v)
+    beta, theta_v = est if est is not None else _css_lm(w, p, q, with_intercept)
+    a = _lag_residuals(wv, beta, with_intercept, theta_v)
     sse = float(a @ a)
     if not math.isfinite(sse):
         raise ConvergenceError("the conditional sum of squares at the optimum is not finite")
     mse = sse / (a.size - n_par)  # the length check leaves more than n_par residuals
-    phi = tuple(float(v) for v in phi_v)
+    phi = tuple(float(v) for v in beta[k:])
     theta = tuple(float(v) for v in theta_v)
-    intercept = mean * (1.0 - sum(phi)) if with_intercept else 0.0
-
-    # report in intercept form: mean = c / (1 - sum phi), and 1 - sum phi > 0 when stationary
-    J = _css_jacobian(wv, a, mean, phi_v, theta_v, with_intercept)
-    if with_intercept:
-        J[:, 0] /= 1.0 - phi_v.sum()
-        J[:, 1:1 + p] += J[:, :1] * mean
+    J = _css_jacobian(wv, a, beta, theta_v, with_intercept)
     try:
         cov = mse * np.linalg.inv(J.T @ J)
         std = tuple(float(s) for s in np.sqrt(np.clip(np.diag(cov), 0.0, None)))
@@ -639,7 +619,7 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         order=order,
         phi=phi,
         theta=theta,
-        intercept=float(intercept),
+        intercept=float(beta[0]) if with_intercept else 0.0,
         with_intercept=with_intercept,
         sigma2=sse / a.size,
         residuals=TimeSeries(a, start_index=w.start_index + p),

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng
 from .errors import StabilityError
-from .estimation import ArimaOrder, _ROOT_TOL, _lag_poly, min_ar_root_modulus, min_ma_root_modulus
+from .estimation import ArimaOrder, _ROOT_TOL, _lag_poly, min_root_modulus
 from .series import TimeSeries
 
 __all__ = ["SimSpec", "InjectionPlan", "simulate", "inject", "demo_dataset", "DEMO_SEED"]
@@ -78,16 +78,11 @@ def simulate(spec: SimSpec) -> TimeSeries:
     """Generate the series described by ``spec`` (deterministic in the seed)."""
     phi = np.asarray(spec.phi, dtype=float)
     theta = np.asarray(spec.theta, dtype=float)
-    if min_ar_root_modulus(phi) <= 1.0 + _ROOT_TOL:
-        raise StabilityError(
-            f"AR coefficients are not stationary (smallest root modulus "
-            f"{min_ar_root_modulus(phi):.6g} <= 1)"
-        )
-    if min_ma_root_modulus(theta) <= 1.0 + _ROOT_TOL:
-        raise StabilityError(
-            f"MA coefficients are not invertible (smallest root modulus "
-            f"{min_ma_root_modulus(theta):.6g} <= 1)"
-        )
+    for coeffs, what in ((phi, "AR coefficients are not stationary"),
+                         (theta, "MA coefficients are not invertible")):
+        modulus = min_root_modulus(coeffs)
+        if modulus <= 1.0 + _ROOT_TOL:
+            raise StabilityError(f"{what} (smallest root modulus {modulus:.6g} <= 1)")
     total = spec.effective_burn_in + spec.n
     a = spec.sigma * rng.normals(spec.seed, total)
     # moving-average part and intercept form the filter input

@@ -3,9 +3,10 @@
 The solvers here are deliberately written from scratch (no numpy.linalg)
 so tests can cross-check the library's linear algebra against an
 unrelated code path. The other oracles are the slower algorithms the
-library replaced (Nelder-Mead CSS, the weight loop, the n-tap residual
-filter, dense Yule-Walker solves, the dense indicator regression, the
-per-position outlier statistics), kept as references.
+library replaced (the mean-centred CSS residuals on ``scipy.signal``,
+Nelder-Mead CSS, the weight loop, the n-tap residual filter, dense
+Yule-Walker solves, the dense indicator regression, the per-position
+outlier statistics), kept as references.
 """
 
 import math
@@ -17,7 +18,7 @@ from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
 from aoarima.errors import DegenerateError, DomainError, SingularError
-from aoarima.estimation import _css_residuals, _lag_poly, min_ar_root_modulus
+from aoarima.estimation import _lag_poly, min_root_modulus
 from aoarima.outliers import _stats_all_positions
 
 # keep property tests reproducible run to run
@@ -81,6 +82,17 @@ def normal_equations_ols(X, y):
     return gauss_solve(X.T @ X, X.T @ y)
 
 
+def css_residuals(w, mean, phi, theta):
+    """Reference CSS residuals: theta(B)^-1 phi(B) (w_t - mean) for t >= p, by ``scipy.signal.lfilter``.
+
+    Centred at the process mean, conditioned on the first p observations,
+    with zero pre-sample shocks: the form the library computed before it
+    took every residual from its lag filter in intercept coordinates.
+    """
+    u = signal.lfilter(_lag_poly(phi), [1.0], np.asarray(w, dtype=float) - mean)[len(phi):]
+    return signal.lfilter([1.0], _lag_poly(theta), u)
+
+
 def css_nelder_mead(series, order, with_intercept=True):
     """Reference CSS fit: four Nelder-Mead searches over (mean, phi, theta).
 
@@ -94,7 +106,7 @@ def css_nelder_mead(series, order, with_intercept=True):
     wv = difference(series, order.d).values
 
     def objective(x):
-        a = _css_residuals(wv, x[0] if with_intercept else 0.0, x[k:k + p], x[k + p:])
+        a = css_residuals(wv, x[0] if with_intercept else 0.0, x[k:k + p], x[k + p:])
         sse = float(a @ a)
         return sse if math.isfinite(sse) else math.inf
 
@@ -104,7 +116,7 @@ def css_nelder_mead(series, order, with_intercept=True):
             phi0 = yule_walker(TimeSeries(wv), p)
         except (SingularError, DegenerateError):
             pass
-        if min_ar_root_modulus(phi0) <= 1.0 + 1e-6:
+        if min_root_modulus(phi0) <= 1.0 + 1e-6:
             phi0 = phi0 * 0.95 / np.max(np.abs(phi0))
     start = np.concatenate([[wv.mean()] if with_intercept else [], phi0, np.zeros(q)])
     f_start = objective(start)

@@ -373,6 +373,8 @@ class TestSimulateCommand:
         ("--intercept", "inf"),
         ("--inject", "3:nan"),
         ("--inject", "3"),
+        ("--inject", "300:1"),
+        ("--inject", "5:1,5:2"),
     ])
     def test_bad_option_exits_2(self, tmp_path, flag, value, capsys):
         args = {"--n": "50", "--seed": "3", "--output": str(tmp_path / "s.csv"), flag: value}

@@ -31,22 +31,23 @@ from aoarima import acf, demo_dataset, difference
 from aoarima.estimation import (
     _ROOT_TOL,
     PiWeights,
+    _css_jacobian,
     _css_lm,
-    _css_residuals,
     _filter_backward,
     _from_pacf,
     _lag_poly,
+    _lag_residuals,
     _lagged_design,
     _lfilter,
     _qr,
-    min_ar_root_modulus,
-    min_ma_root_modulus,
+    min_root_modulus,
 )
 from aoarima.simulate import SimSpec, simulate
 
 from conftest import (
     FILTER_MODELS,
     css_nelder_mead,
+    css_residuals,
     filter_residuals_fir,
     make_fit,
     normal_equations_ols,
@@ -204,8 +205,8 @@ class TestFitArmaCss:
         )
         fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
         start_phi = yule_walker(y, 1)
-        a_start = _css_residuals(y.values, float(y.values.mean()), start_phi, np.zeros(1))
-        a_fit = _css_residuals(
+        a_start = css_residuals(y.values, float(y.values.mean()), start_phi, np.zeros(1))
+        a_fit = css_residuals(
             y.values, fit.process_mean, np.asarray(fit.phi), np.asarray(fit.theta)
         )
         assert float(a_fit @ a_fit) <= float(a_start @ a_start) + 1e-9
@@ -232,7 +233,7 @@ class TestFitArmaCss:
             y = simulate(SimSpec(order=order, n=200, seed=s, phi=phi, theta=theta))
             fit = fit_arma_css(y, order, with_intercept=True)
             sse, _, phi_o, theta_o = css_nelder_mead(y, order, with_intercept=True)
-            if min_ar_root_modulus(phi_o) > 1 + 1e-6 and min_ma_root_modulus(theta_o) > 1 + 1e-6:
+            if min_root_modulus(phi_o) > 1 + 1e-6 and min_root_modulus(theta_o) > 1 + 1e-6:
                 compared += 1
                 assert fit.sse <= sse * (1 + 1e-8)
         assert compared >= 4
@@ -257,7 +258,7 @@ class TestFitArmaCss:
         y = TimeSeries(np.random.default_rng(0).standard_normal(200))
         with pytest.warns(NonInvertibleWarning):
             fit = fit_arma_css(y, ArimaOrder(0, 1, 1), with_intercept=True)
-        assert min_ma_root_modulus(fit.theta) >= 1.0
+        assert min_root_modulus(fit.theta) >= 1.0
         assert fit.theta[0] > 1.0 - 1e-6
 
     def test_flat_profile_does_not_run_out_to_the_boundary(self):
@@ -297,11 +298,13 @@ class TestFitArmaCss:
             y = simulate(SimSpec(order=order, n=200, seed=s, phi=phi, theta=theta,
                                  intercept=0.3 if with_intercept else 0.0))
             w = difference(y, d)
-            mean, phi_lm, theta_lm = _css_lm(w, p, 1, with_intercept)
-            if min(min_ar_root_modulus(phi_lm), min_ma_root_modulus(theta_lm)) <= 1.0 + _ROOT_TOL:
+            beta, theta_lm = _css_lm(w, p, 1, with_intercept)
+            phi_lm = beta[1:] if with_intercept else beta
+            if min(min_root_modulus(phi_lm), min_root_modulus(theta_lm)) <= 1.0 + _ROOT_TOL:
                 continue  # LM ended on the boundary; the projection keeps an interior minimum
             inside += 1
-            a = _css_residuals(w.values, mean, phi_lm, theta_lm)
+            mean = beta[0] / (1.0 - phi_lm.sum()) if with_intercept else 0.0
+            a = css_residuals(w.values, mean, phi_lm, theta_lm)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a boundary end would warn
                 fit = fit_arma_css(y, order, with_intercept=with_intercept)
@@ -314,7 +317,7 @@ class TestFitArmaCss:
         coef = np.array([fit.intercept, *fit.phi, *fit.theta])
 
         def resid(c):
-            return _css_residuals(y.values, c[0] / (1.0 - c[1]), c[1:2], c[2:])
+            return css_residuals(y.values, c[0] / (1.0 - c[1]), c[1:2], c[2:])
 
         h = 1e-6
         J = np.column_stack([(resid(coef + h * e) - resid(coef - h * e)) / (2 * h) for e in np.eye(3)])
@@ -327,7 +330,7 @@ class TestFitArmaCss:
     def test_pacf_map_is_stationary_with_exact_jacobian(self, z):
         z = np.asarray(z)
         coef, jac = _from_pacf(z)
-        assert min_ar_root_modulus(coef) > 1.0
+        assert min_root_modulus(coef) > 1.0
         h = 1e-6
         fd = np.column_stack([(_from_pacf(z + h * e)[0] - _from_pacf(z - h * e)[0]) / (2 * h)
                               for e in np.eye(z.size)])
@@ -344,13 +347,13 @@ class TestRootModulus:
     def test_negligible_top_coefficient_keeps_the_other_roots(self):
         # 1 - 0.3 z - 0.5 z^2 has its smallest root at (sqrt(2.09) - 0.3) / 1.0
         expected = math.sqrt(2.09) - 0.3
-        assert min_ar_root_modulus([0.3, 0.5, 1e-100]) == pytest.approx(expected, rel=1e-12)
-        assert min_ma_root_modulus([0.3, 0.5, 5e-320]) == pytest.approx(expected, rel=1e-12)
+        assert min_root_modulus([0.3, 0.5, 1e-100]) == pytest.approx(expected, rel=1e-12)
+        assert min_root_modulus([0.3, 0.5, 5e-320]) == pytest.approx(expected, rel=1e-12)
 
     def test_degree_zero_and_zero_coefficients(self):
-        assert min_ar_root_modulus([]) == math.inf
-        assert min_ar_root_modulus([0.0, 0.0]) == math.inf
-        assert min_ma_root_modulus([2.0]) == 0.5
+        assert min_root_modulus([]) == math.inf
+        assert min_root_modulus([0.0, 0.0]) == math.inf
+        assert min_root_modulus([2.0]) == 0.5
 
 
 class TestProcessMean:
@@ -463,6 +466,34 @@ class TestRecursiveFilterAgainstFir:
         want = filter_residuals_fir(y, fit)
         assert got.start_index == want.start_index
         assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+    @pytest.mark.parametrize("n", [200, 2_000, 20_000])
+    @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+    def test_lag_residuals_match_mean_centred_reference(self, name, n):
+        # the intercept-form lag filter, through 1 / theta(B), against the CSS residuals it replaced
+        y, fit = self._case(name, n)
+        w = difference(y, fit.order.d).values
+        got = _lag_residuals(w, np.array([fit.intercept, *fit.phi]), True, fit.theta)
+        want = css_residuals(w, fit.process_mean, fit.phi, fit.theta)
+        assert got.shape == want.shape == (w.size - len(fit.phi),)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    @pytest.mark.parametrize("name", sorted(name for name, (_, theta, _) in FILTER_MODELS.items() if theta))
+    def test_css_jacobian_matches_finite_differences(self, name, with_intercept):
+        y, fit = self._case(name, 200)
+        w = difference(y, fit.order.d).values
+        m = len(fit.phi) + (1 if with_intercept else 0)  # the (c, phi) entries of x = (c, phi, theta)
+        x = np.array([fit.intercept] * (m - len(fit.phi)) + [*fit.phi, *fit.theta])
+
+        def resid(v):
+            return _lag_residuals(w, v[:m], with_intercept, v[m:])
+
+        J = _css_jacobian(w, resid(x), x[:m], x[m:], with_intercept)
+        h = 1e-6
+        fd = np.column_stack([(resid(x + h * e) - resid(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+        assert J.shape == fd.shape
+        assert np.all(np.abs(J - fd) <= 1e-6 * np.max(np.abs(fd), axis=0))
 
     @pytest.mark.parametrize("name", ["ar2", "arima120"])
     def test_pure_ar_weights_are_exact_and_short(self, name):

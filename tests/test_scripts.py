@@ -49,3 +49,24 @@ def test_output_parity_of_two_dumps(tmp_path):
         json.dump(record, fh)
     proc = run("output_parity.py", "compare", *dumps)
     assert proc.returncode == 1 and "FAIL: labels or terminated_by differ on 401/2" in proc.stdout
+
+
+def test_output_parity_at_a_given_order(tmp_path):
+    # q = 2 is fitted by Levenberg-Marquardt, a path no workload order takes
+    dumps = [str(tmp_path / f"{name}.json") for name in "ab"]
+    for out in dumps:
+        proc = run("output_parity.py", "dump", "--workload", "arima_css", "--order", "1,1,2", "--seeds", "401",
+                   "--series", "2", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "at order [1, 1, 2]" in proc.stdout
+    proc = run("output_parity.py", "compare", *dumps)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "labels equal on 2 of 2 series, terminated_by on 2" in proc.stdout
+    record = json.loads(open(dumps[0]).read())
+    # phi, theta_1, theta_2, intercept, sigma2, four standard errors, sse and mse of the (1,1,2) fit
+    assert len(record["series"]["401/0"]["fit.estimates"]) == 11
+    record["order"] = [1, 1, 1]
+    with open(dumps[1], "w") as fh:
+        json.dump(record, fh)
+    proc = run("output_parity.py", "compare", *dumps)
+    assert proc.returncode == 1 and "FAIL: the dumps are of different series or orders" in proc.stdout
