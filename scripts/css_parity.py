@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parity of the q = 1 CSS fit (variable projection) against the Levenberg-Marquardt solve.
 
-``fit_arma_css`` fits every q <= 1 order by variable projection: a grid and
+``fit_arma_css`` fits every q = 1 order by variable projection: a grid and
 a Brent polish over theta, with (intercept, phi) profiled out. The
 Levenberg-Marquardt (LM) multistart over the partial autocorrelations,
 ``_css_lm``, is what it replaced there and still fits q >= 2. This script

@@ -38,17 +38,22 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402  (numpy only: the benchmark's seeded series)
 
-# The numeric field groups of one series' record, in print order.
-GROUPS = ("fit.estimates", "fit.residuals", "outliers", "sigma_trail", "mse_trail",
-          "corrected_series", "final.estimates", "final.residuals", "final.nested_sse")
+# The numeric field groups of one series' record, in print order. The standard errors are groups of
+# their own: scaled by the largest number of the estimates (the SSE), a change in one would not show.
+GROUPS = ("fit.estimates", "fit.std_errors", "fit.residuals", "outliers", "sigma_trail", "mse_trail",
+          "corrected_series", "final.estimates", "final.std_errors", "final.residuals", "final.nested_sse")
 
 
 def _estimates(fit) -> list:
-    """Every scalar of an ``ArimaFit`` or an ``OlsResult``, in a fixed order."""
+    """Every scalar of an ``ArimaFit`` or an ``OlsResult`` but the standard errors, in a fixed order."""
     if hasattr(fit, "phi"):
-        return [*fit.phi, *fit.theta, fit.intercept, fit.sigma2, *fit.coefficient_std_errors,
-                fit.sse, fit.mse]
-    return [*fit.coefficients, *fit.std_errors, fit.sse, fit.mse, fit.df_residual]
+        return [*fit.phi, *fit.theta, fit.intercept, fit.sigma2, fit.sse, fit.mse]
+    return [*fit.coefficients, fit.sse, fit.mse, fit.df_residual]
+
+
+def _std_errors(fit) -> list:
+    """The coefficient standard errors of an ``ArimaFit`` or an ``OlsResult``."""
+    return list(fit.coefficient_std_errors if hasattr(fit, "phi") else fit.std_errors)
 
 
 def record(values: np.ndarray, order, critical: float) -> dict:
@@ -69,12 +74,14 @@ def record(values: np.ndarray, order, critical: float) -> dict:
             "terminated_by": result.terminated_by,
         },
         "fit.estimates": _estimates(fit),
+        "fit.std_errors": _std_errors(fit),
         "fit.residuals": fit.residuals.values.tolist(),
         "outliers": [v for r in result.outliers for v in (r.omega_hat, r.lambda_hat, r.tau2)],
         "sigma_trail": list(result.sigma_trail),
         "mse_trail": list(result.mse_trail),
         "corrected_series": result.corrected_series.values.tolist(),
         "final.estimates": _estimates(final),
+        "final.std_errors": _std_errors(final),
         "final.residuals": np.asarray(getattr(final.residuals, "values", final.residuals)).tolist(),
         "final.nested_sse": list(getattr(final, "_nested_sse", [])),
     }

@@ -11,9 +11,12 @@ profiled out by one QR and theta is searched alone, on a grid and by a
 Brent polish (variable projection). With more, or when the profiled phi
 is not stationary, a Levenberg-Marquardt least-squares solve searches
 over the process mean and the partial autocorrelations of phi and theta,
-mapping each point to (c, phi, theta). Standard errors come from the
-analytic Jacobian of the residuals. Both report two variance estimates
-that must not be conflated:
+mapping each point to (c, phi, theta). A CSS fit with no MA part is the
+AR fit. The standard errors of every fit come from one R factor, that of
+the lag design or of the residuals' analytic Jacobian, as the row norms
+of R^-1 (:func:`_std_errors`), and a rank-deficient design or Jacobian
+raises :class:`RankError` on every path. Both fits report two variance
+estimates that must not be conflated:
 
 * ``sigma2`` -- mean squared residual with denominator equal to the
   residual count (the innovation-variance convention used by the outlier
@@ -241,13 +244,13 @@ def _lfilter(b, a, x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 
 
 def _qr(A: np.ndarray) -> np.ndarray:
-    """Householder QR of the Fortran-ordered [X | y], in place; returns its top rows.
+    """Householder QR of the Fortran-ordered [X | y], or of a Jacobian, in place; returns its top rows.
 
     LAPACK ``dgeqrf`` (the one bundled with numpy, no explicit Q) leaves R
-    on and above the diagonal of those rows, Q^T y in the last column, and
-    the Householder vectors below the diagonal, which callers must not
-    read as R. Raises :class:`RankError` when X has no more rows than
-    columns.
+    on and above the diagonal of those rows, Q^T y in the last column of
+    [X | y], and the Householder vectors below the diagonal, which callers
+    must not read as R. Raises :class:`RankError` when X has no more rows
+    than columns.
     """
     rows, cols = A.shape
     if rows < cols:
@@ -259,25 +262,33 @@ def _qr(A: np.ndarray) -> np.ndarray:
     return A[:cols]
 
 
+def _std_errors(R: np.ndarray, mse: float) -> np.ndarray:
+    """sqrt(mse diag((R^T R)^-1)): the row norms of R^-1 scaled by the mse.
+
+    R is the upper triangular factor of a design or a Jacobian. Raises
+    :class:`RankError` when it is rank deficient (pivot ratio below 1e-10).
+    """
+    pivots = np.abs(np.diag(R))
+    if pivots.size and (pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0):
+        raise RankError("design matrix is rank deficient")
+    rinv = np.linalg.solve(R, np.eye(R.shape[0]))
+    return np.sqrt(mse * np.sum(rinv * rinv, axis=1))
+
+
 def _solve(r: np.ndarray, rows: int) -> tuple[np.ndarray, float, float, np.ndarray]:
     """(beta, sse, mse, standard errors) of the least-squares fit whose [X | y] factor :func:`_qr` left.
 
     beta solves R beta = (Q^T y)[:cols], the residual sum of squares is
-    the squared bottom corner, and the standard errors are the row norms
-    of R^-1 scaled by the mse over ``rows`` - cols degrees of freedom.
-    Raises :class:`RankError` when X is rank deficient (pivot ratio below
-    1e-10).
+    the squared bottom corner, the mse takes ``rows`` - cols degrees of
+    freedom, and the standard errors come from R by :func:`_std_errors`,
+    which raises :class:`RankError` when X is rank deficient.
     """
     c = r.shape[1] - 1
     R = np.triu(r[:c, :c])
-    pivots = np.abs(np.diag(R))
-    if pivots.size and (pivots.min() < _RANK_TOL * pivots.max() or pivots.max() == 0.0):
-        raise RankError("design matrix is rank deficient")
-    beta = np.linalg.solve(R, r[:c, c])
     sse = float(r[c, c] ** 2)
     mse = sse / (rows - c)
-    rinv = np.linalg.solve(R, np.eye(c))
-    return beta, sse, mse, np.sqrt(mse * np.sum(rinv * rinv, axis=1))
+    std = _std_errors(R, mse)  # the rank check, before a solve on a singular R
+    return np.linalg.solve(R, r[:c, c]), sse, mse, std
 
 
 def ols(X: np.ndarray, y) -> OlsResult:
@@ -455,8 +466,8 @@ _Z_GRID = np.linspace(-3.0, 3.0, 33)
 _Z_EDGE = 15.0
 
 
-def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
-    """(beta = (c, phi), theta) minimizing the CSS of a q <= 1 model by variable projection.
+def _css_projection(wv: np.ndarray, p: int, with_intercept: bool):
+    """(beta = (c, phi), theta) minimizing the CSS of a q = 1 model by variable projection.
 
     For a fixed theta the residuals of :func:`_lag_residuals`,
     theta(B)^-1 (w_t - c - sum phi_i w_{t-i}), are linear in (c, phi): one
@@ -467,8 +478,10 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
     grid in z = atanh(theta) and a Brent polish of every strict interior
     grid minimum, keeping the lowest. Only a profile falling to an edge of
     the grid is followed out towards that end of the invertible region.
-    Returns None when the profiled phi is not stationary, or the design
-    is rank deficient, at the chosen theta.
+    Returns None only when the profiled phi is not stationary at the
+    chosen theta. 1 / theta(B) is a unit lower-triangular map, so the rank
+    of the filtered design does not depend on theta: a rank-deficient
+    design raises :class:`RankError` here, as it does in the AR fit.
     """
     design = _lagged_design(wv, p, with_intercept)
     n, m = design.shape
@@ -476,32 +489,26 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
 
     def profile(z):
         np.copyto(a, design)
-        if q:
-            _lfilter([1.0], [1.0, -math.tanh(z)], a, overwrite_x=True)
+        _lfilter([1.0], [1.0, -math.tanh(z)], a, overwrite_x=True)
         corner = float(_qr(a)[m - 1, m - 1])
         sse = corner * corner  # inf, not an overflow warning, past the largest float
         if not math.isfinite(sse):
             raise ConvergenceError("the profiled conditional sum of squares is not finite")
         return sse
 
-    z = 0.0
-    if q:
-        f = np.array([profile(g) for g in _Z_GRID])
-        inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])) + 1
-        if not inner.size:  # the lowest grid point, nearest theta = 0 among ties: an edge only when
-            near = np.argsort(np.abs(_Z_GRID), kind="stable")  # the profile falls to it
-            inner = [int(near[np.argmin(f[near])])]
-        brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
-        z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
-                key=lambda t: t[1])[0]
+    f = np.array([profile(g) for g in _Z_GRID])
+    inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])) + 1
+    if not inner.size:  # the lowest grid point, nearest theta = 0 among ties: an edge only when
+        near = np.argsort(np.abs(_Z_GRID), kind="stable")  # the profile falls to it
+        inner = [int(near[np.argmin(f[near])])]
+    brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
+    z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
+            key=lambda t: t[1])[0]
     profile(z)  # leaves the factor at the chosen theta in a
-    try:
-        coef = _solve(a[:m], n)[0]
-    except RankError:
-        return None
+    coef = _solve(a[:m], n)[0]
     if min_root_modulus(coef[1 if with_intercept else 0:]) <= 1.0 + _ROOT_TOL:
         return None
-    return coef, np.full(q, math.tanh(z))
+    return coef, np.array([math.tanh(z)])
 
 
 def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
@@ -576,8 +583,10 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     in the stationary and invertible region, and ends on its boundary
     only with a warning.
 
-    For q <= 1, (intercept, phi) are profiled out by least squares and
-    theta is searched alone (:func:`_css_projection`). The target is the
+    For q = 0 the conditional sum of squares is the AR least-squares fit,
+    and that fit is returned (:func:`fit_arima`). For q = 1,
+    (intercept, phi) are profiled out by least squares and theta is
+    searched alone (:func:`_css_projection`). The target is the
     lowest local minimum inside the region: the fit ends on the
     invertibility boundary only when the objective keeps falling towards
     it, and it does not look for a lower sum of squares on the boundary
@@ -587,33 +596,30 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     theta from a few starts (:func:`_css_lm`), keeping the lowest end
     point, which may lie on the boundary. Both return the intercept form
     (c, phi, theta) that is reported; the residuals are
-    :func:`_lag_residuals` and the standard errors come from their
-    analytic Jacobian (:func:`_css_jacobian`) at the optimum.
+    :func:`_lag_residuals` and the standard errors come from the R factor
+    of their analytic Jacobian (:func:`_css_jacobian`) at the optimum, by
+    :func:`_std_errors`. A rank-deficient design or Jacobian (a constant
+    series, or one the model fits exactly) raises :class:`RankError`.
     """
     p, d, q = order.p, order.d, order.q
-    if p + q < 1:
-        raise ValueError("need p + q >= 1 to fit a model")
+    if q == 0:
+        return fit_arima(series, order, with_intercept)
     if series.n <= 3 * (p + q) + 5 + d:
         raise LengthError(f"need more than {3 * (p + q) + 5 + d} observations for this order")
     w = difference(series, d)
     wv = w.values
     k = 1 if with_intercept else 0
-    n_par = k + p + q
-    est = _css_projection(wv, p, q, with_intercept) if q <= 1 else None
+    est = _css_projection(wv, p, with_intercept) if q == 1 else None
     beta, theta_v = est if est is not None else _css_lm(w, p, q, with_intercept)
     a = _lag_residuals(wv, beta, with_intercept, theta_v)
     sse = float(a @ a)
     if not math.isfinite(sse):
         raise ConvergenceError("the conditional sum of squares at the optimum is not finite")
-    mse = sse / (a.size - n_par)  # the length check leaves more than n_par residuals
+    mse = sse / (a.size - k - p - q)  # the length check leaves more residuals than parameters
     phi = tuple(float(v) for v in beta[k:])
     theta = tuple(float(v) for v in theta_v)
     J = _css_jacobian(wv, a, beta, theta_v, with_intercept)
-    try:
-        cov = mse * np.linalg.inv(J.T @ J)
-        std = tuple(float(s) for s in np.sqrt(np.clip(np.diag(cov), 0.0, None)))
-    except np.linalg.LinAlgError:
-        std = tuple(float("nan") for _ in range(n_par))
+    std = _std_errors(np.triu(_qr(J)), mse)
     _warn_on_roots(phi, theta)
     return ArimaFit(
         order=order,
@@ -623,20 +629,16 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
         with_intercept=with_intercept,
         sigma2=sse / a.size,
         residuals=TimeSeries(a, start_index=w.start_index + p),
-        coefficient_std_errors=std,
+        coefficient_std_errors=tuple(float(s) for s in std),
         sse=sse,
-        mse=float(mse),
+        mse=mse,
     )
 
 
 def fit_arima(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
     """Dispatch to the OLS fitter for pure AR orders, otherwise to CSS."""
     if order.q == 0:
-        if order.p < 1:
-            raise ValueError("need p >= 1 when q = 0")
-        w = difference(series, order.d)
-        fit = fit_ar_ols(w, order.p, with_intercept)
-        return replace(fit, order=order)
+        return replace(fit_ar_ols(difference(series, order.d), order.p, with_intercept), order=order)
     return fit_arma_css(series, order, with_intercept)
 
 

@@ -72,7 +72,10 @@ class DetectionConfig:
     draw a warning. ``scan_margin`` positions are excluded at the start
     of the scan window (defaults to the AR order when left as None); the
     window always extends to the final observation, where detections are
-    reported as low-confidence edge hits rather than suppressed.
+    reported as low-confidence edge hits rather than suppressed. A p,0,0
+    model, whose final model is the joint regression, needs a margin of
+    at least p: that regression has no row for the first p labels, so
+    :func:`detect_iterative` raises :class:`DomainError` before it scans.
     """
 
     critical_value: float = 3.0
@@ -255,7 +258,8 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     final regression's one QR decomposition, updated a row at a time.
 
     Every model fitted here has an intercept exactly when ``fit`` has one
-    (``fit.with_intercept``).
+    (``fit.with_intercept``). A scan margin below p on a p,0,0 model
+    raises :class:`DomainError` (see :class:`DetectionConfig`).
     """
     if config is None:
         config = DetectionConfig()
@@ -271,6 +275,10 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
     if n_e < 4:
         raise EmptyScanError("series too short to scan after differencing")
     margin = config.scan_margin if config.scan_margin is not None else fit.order.p
+    joint = fit.order.q == 0 and fit.order.d == 0  # the final model is the joint regression
+    if joint and margin < fit.order.p:
+        raise DomainError(f"scan_margin {margin} is below p = {fit.order.p}: the joint regression "
+                          f"has no row for the first {fit.order.p} labels")
     label_offset = series.start_index - 1 + d  # scan position -> index label
 
     pi = pi_weights(current_fit, n_e - 1)
@@ -325,7 +333,7 @@ def detect_iterative(series: TimeSeries, fit: ArimaFit, config: DetectionConfig 
         terminated = "max_iterations"
 
     corrected = correct_series(series, records)
-    if fit.order.q == 0 and fit.order.d == 0:
+    if joint:
         final_fit = joint_refit(series, [rec.T for rec in records], fit.order.p, fit.with_intercept)
         k = len(records)
         mse_trail = tuple(v / (final_fit.df_residual + k - j) for j, v in enumerate(final_fit._nested_sse))

@@ -82,6 +82,16 @@ def normal_equations_ols(X, y):
     return gauss_solve(X.T @ X, X.T @ y)
 
 
+def jacobian_std_errors(J, mse):
+    """Reference standard errors sqrt(mse diag((J^T J)^-1)) from the SVD J = U S V^T.
+
+    (J^T J)^-1 = V S^-2 V^T, so no normal equations are formed and
+    nothing is inverted but the singular values.
+    """
+    _, s, vt = np.linalg.svd(np.asarray(J, dtype=float), full_matrices=False)
+    return np.sqrt(mse * np.sum((vt / s[:, None]) ** 2, axis=0))
+
+
 def css_residuals(w, mean, phi, theta):
     """Reference CSS residuals: theta(B)^-1 phi(B) (w_t - mean) for t >= p, by ``scipy.signal.lfilter``.
 

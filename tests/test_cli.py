@@ -216,6 +216,24 @@ class TestDetectCommand:
         assert exc.value.code == EXIT_INPUT
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["1,0,1", "0,1,1", "1,0,2"])
+    def test_constant_series_exits_3_without_nan(self, tmp_path, capsys, order):
+        p = tmp_path / "const.csv"
+        p.write_text("value\n" + "5.0\n" * 60)
+        assert main(["detect", "--input", str(p), "--order", order, "--format", "json"]) == EXIT_MODEL
+        captured = capsys.readouterr()
+        assert "hint" in captured.err
+        assert "NaN" not in captured.out
+
+    def test_scan_margin_below_p_exits_3_naming_it(self, tmp_path, capsys):
+        values = read_series_csv(demo_csv()).values.copy()
+        values[0] += 15.0  # the scan from position 1 accepts label 1, which the joint regression lacks
+        p = tmp_path / "bumped.csv"
+        p.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        assert main(["detect", "--input", str(p), "--order", "2,0,0", "--scan-margin", "0"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "scan_margin" in err and "hint" not in err
+
     def test_labels_follow_the_t_column(self, tmp_path):
         values = read_series_csv(demo_csv()).values
         labelled = tmp_path / "labelled.csv"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from aoarima.estimation import (
     PiWeights,
     _css_jacobian,
     _css_lm,
+    _css_projection,
     _filter_backward,
     _from_pacf,
     _lag_poly,
@@ -49,6 +51,7 @@ from conftest import (
     css_nelder_mead,
     css_residuals,
     filter_residuals_fir,
+    jacobian_std_errors,
     make_fit,
     normal_equations_ols,
     pi_weights_loop,
@@ -161,13 +164,20 @@ class TestYuleWalker:
 
 
 class TestFitArmaCss:
-    def test_pure_ar_matches_ols(self):
-        y = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=1000, seed=11, phi=(0.2237, 0.4282)))
-        a = fit_ar_ols(y, 2, with_intercept=True)
-        b = fit_arma_css(y, ArimaOrder(2, 0, 0), with_intercept=True)
-        assert abs(a.phi[0] - b.phi[0]) < 1e-4
-        assert abs(a.phi[1] - b.phi[1]) < 1e-4
-        assert abs(a.intercept - b.intercept) < 1e-4
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_pure_ar_matches_ols(self, d):
+        # with no MA part the conditional sum of squares is the AR least-squares fit, field for field
+        order = ArimaOrder(2, d, 0)
+        y = simulate(SimSpec(order=order, n=1000, seed=11, phi=(0.2237, 0.4282)))
+        a = fit_ar_ols(difference(y, d), 2, with_intercept=True)
+        b = fit_arma_css(y, order, with_intercept=True)
+        assert b.order == order
+        for f in fields(b):
+            x, z = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "residuals":
+                assert x.start_index == z.start_index and np.array_equal(x.values, z.values)
+            elif f.name != "order":
+                assert x == z, f.name
 
     def test_ma1_recovery(self):
         hits = 0
@@ -262,12 +272,23 @@ class TestFitArmaCss:
         assert fit.theta[0] > 1.0 - 1e-6
 
     def test_flat_profile_does_not_run_out_to_the_boundary(self):
-        # a constant series is fitted exactly at every theta: the fit keeps theta = 0, without a warning
+        # a constant series is fitted exactly at every theta: the projection keeps theta = 0, without
+        # a warning; theta is then unidentifiable (its Jacobian column is zero), so the fit raises
+        y = TimeSeries(np.ones(60))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_arma_css(TimeSeries(np.ones(60)), ArimaOrder(0, 1, 1), with_intercept=True)
-        assert fit.theta == (0.0,)
-        assert fit.sse == 0.0
+            beta, theta = _css_projection(difference(y, 1).values, 0, True)
+        assert theta.tolist() == [0.0]
+        assert beta.tolist() == [0.0]
+        with pytest.raises(RankError):
+            fit_arma_css(y, ArimaOrder(0, 1, 1), with_intercept=True)
+
+    # the fit that the projection hands to Levenberg-Marquardt for a rank-deficient design ended
+    # with NaN standard errors; the rank of the theta-filtered design does not depend on theta
+    @pytest.mark.parametrize("p, d, q", [(1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 0, 2)])
+    def test_constant_series_raises_rank_error(self, p, d, q):
+        with pytest.raises(RankError):
+            fit_arma_css(TimeSeries(np.full(60, 5.0)), ArimaOrder(p, d, q), with_intercept=True)
 
     def test_interior_minimum_is_kept_over_a_lower_boundary(self):
         # the CSS is lower towards theta = 1 (the unconstrained optimum has theta = 1.06),
@@ -324,6 +345,27 @@ class TestFitArmaCss:
         std = np.sqrt(np.diag(fit.mse * np.linalg.inv(J.T @ J)))
         assert np.allclose(fit.coefficient_std_errors, std, rtol=1e-4, atol=0.0)
         assert np.allclose(fit.coefficient_std_errors, (0.05104, 0.14402, 0.17939), rtol=1e-3)
+
+    # the models of FILTER_MODELS with an MA part at their own order, and the ARMA(1,1) series at three
+    # q = 2 orders, fitted by LM; ARMA(2,2) nearly cancels there (cond J ~ 600), where inverting J'J
+    # loses ~1e-11
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    @pytest.mark.parametrize("name, order", [
+        *((name, ArimaOrder(len(phi), d, len(theta))) for name, (phi, theta, d) in FILTER_MODELS.items() if theta),
+        *(("arma11", ArimaOrder(p, 0, 2)) for p in (0, 1, 2)),
+    ], ids=lambda v: f"{v.p},{v.d},{v.q}" if isinstance(v, ArimaOrder) else None)
+    def test_std_errors_match_svd_reference(self, name, order, seed):
+        phi, theta, d = FILTER_MODELS[name]
+        spec = SimSpec(order=ArimaOrder(len(phi), d, len(theta)), n=200, seed=seed, phi=phi, theta=theta,
+                       intercept=0.3)
+        y = simulate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a boundary end still has standard errors
+            fit = fit_arma_css(y, order, with_intercept=True)
+        J = _css_jacobian(difference(y, order.d).values, fit.residuals.values,
+                          np.array([fit.intercept, *fit.phi]), np.array(fit.theta), True)
+        want = jacobian_std_errors(J, fit.mse)
+        assert np.allclose(fit.coefficient_std_errors, want, rtol=1e-12, atol=0.0)
 
     @given(z=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=4))
     @settings(max_examples=100)

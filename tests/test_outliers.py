@@ -351,6 +351,21 @@ class TestDetectIterative:
         assert isinstance(res.final_fit, ArimaFit)
         assert len(res.mse_trail) == 2
 
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_scan_margin_below_p_rejected_before_the_scan(self, margin):
+        # the joint regression has no row for labels 1..p, and the scan would accept label 1
+        z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
+        y = inject(z, InjectionPlan(points=((1, 15.0), (98, 8.0))))
+        fit = fit_ar_ols(y, 2, with_intercept=True)
+        with pytest.raises(DomainError, match="scan_margin"):
+            detect_iterative(y, fit, DetectionConfig(scan_margin=margin))
+
+    def test_scan_margin_zero_kept_when_the_final_model_is_a_refit(self):
+        y = simulate(SimSpec(order=ArimaOrder(1, 1, 0), n=200, seed=33, phi=(0.5,)))
+        fit = fit_arima(y, ArimaOrder(1, 1, 0), with_intercept=False)
+        res = detect_iterative(y, fit, DetectionConfig(scan_margin=0))
+        assert len(res.mse_trail) == 2
+
     def test_huge_threshold_detects_nothing(self):
         z = simulate(SimSpec(order=ArimaOrder(2, 0, 0), n=200, seed=20180967, phi=DEMO_PHI))
         y = inject(z, InjectionPlan(points=((98, 8.0),)))

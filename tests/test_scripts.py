@@ -63,8 +63,9 @@ def test_output_parity_at_a_given_order(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "labels equal on 2 of 2 series, terminated_by on 2" in proc.stdout
     record = json.loads(open(dumps[0]).read())
-    # phi, theta_1, theta_2, intercept, sigma2, four standard errors, sse and mse of the (1,1,2) fit
-    assert len(record["series"]["401/0"]["fit.estimates"]) == 11
+    # phi, theta_1, theta_2, intercept, sigma2, sse and mse of the (1,1,2) fit, and its four standard errors
+    assert len(record["series"]["401/0"]["fit.estimates"]) == 7
+    assert len(record["series"]["401/0"]["fit.std_errors"]) == 4
     record["order"] = [1, 1, 1]
     with open(dumps[1], "w") as fh:
         json.dump(record, fh)
