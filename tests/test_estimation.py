@@ -283,8 +283,7 @@ class TestFitArmaCss:
         with pytest.raises(RankError):
             fit_arma_css(y, ArimaOrder(0, 1, 1), with_intercept=True)
 
-    # the fit that the projection hands to Levenberg-Marquardt for a rank-deficient design ended
-    # with NaN standard errors; the rank of the theta-filtered design does not depend on theta
+    # the rank of the theta-filtered design does not depend on theta, so no other solve can do better
     @pytest.mark.parametrize("p, d, q", [(1, 0, 0), (1, 0, 1), (0, 1, 1), (1, 0, 2)])
     def test_constant_series_raises_rank_error(self, p, d, q):
         with pytest.raises(RankError):
@@ -356,9 +355,8 @@ class TestFitArmaCss:
     ], ids=lambda v: f"{v.p},{v.d},{v.q}" if isinstance(v, ArimaOrder) else None)
     def test_std_errors_match_svd_reference(self, name, order, seed):
         phi, theta, d = FILTER_MODELS[name]
-        spec = SimSpec(order=ArimaOrder(len(phi), d, len(theta)), n=200, seed=seed, phi=phi, theta=theta,
-                       intercept=0.3)
-        y = simulate(spec)
+        y = simulate(SimSpec(order=ArimaOrder(len(phi), d, len(theta)), n=200, seed=seed, phi=phi, theta=theta,
+                             intercept=0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a boundary end still has standard errors
             fit = fit_arma_css(y, order, with_intercept=True)
