@@ -6,8 +6,8 @@ workload's order and critical value, an intercept, and warnings off) on
 the series of one benchmark workload (``perfbench/inputs.py``) for each
 given seed, and writes every number they return to a JSON file.
 ``--order p,d,q`` fits that order instead of the workload's, so a path
-the workloads do not take (say the Levenberg-Marquardt CSS solve of
-q >= 2) gets the same comparison. JSON
+the workloads do not take (say the bounded least-squares theta search
+of q >= 2) gets the same comparison. JSON
 writes a float as its shortest round-trip repr, so the dump keeps every
 bit. The ``aoarima`` imported is whatever ``PYTHONPATH`` names, so two
 checkouts are compared by dumping from each:

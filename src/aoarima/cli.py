@@ -533,11 +533,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except RankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: a rank-deficient design often means a constant input column; "
-            "try --no-intercept or check the input file",
-            file=sys.stderr,
-        )
+        if args.no_intercept:
+            hint = "the model fits the series exactly, so its coefficients are not identified"
+        else:
+            hint = "a rank-deficient design often means a constant input column; try --no-intercept"
+        print(f"hint: {hint}; check the input file", file=sys.stderr)
         return EXIT_MODEL
     except AoArimaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,18 +5,19 @@ models with an MA part by minimizing the conditional sum of squares
 (CSS). Every fit's conditional residual is the one :func:`_lag_residuals`:
 x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p}, passed through
 1 / theta(B) when there is an MA part. Both fits report in the intercept
-coordinates (c, phi, theta) of that residual. With one MA coefficient the
-CSS residuals are linear in c and phi for a fixed theta, so those are
-profiled out by one QR and theta is searched alone, on a grid and by a
-Brent polish (variable projection). With more, or when the profiled phi
-is not stationary, a Levenberg-Marquardt least-squares solve searches
-over the process mean and the partial autocorrelations of phi and theta,
-mapping each point to (c, phi, theta). A CSS fit with no MA part is the
-AR fit. The standard errors of every fit come from one R factor, that of
-the lag design or of the residuals' analytic Jacobian, as the row norms
-of R^-1 (:func:`_std_errors`), and a rank-deficient design or Jacobian
-raises :class:`RankError` on every path. Both fits report two variance
-estimates that must not be conflated:
+coordinates (c, phi, theta) of that residual. For a fixed theta the CSS
+residuals are linear in c and phi, so those are profiled out by one QR
+and theta is searched alone, inside the invertible region (variable
+projection): on a grid and by a Brent polish with one MA coefficient, by
+a bounded least-squares solve with more. phi is the least-squares
+profile, as in the AR fit, so it may come out non-stationary; a
+non-stationary phi or a theta on the invertibility boundary warns. A CSS
+fit with no MA part is the AR fit. The standard errors of every fit come
+from one R factor, that of the lag design or of the residuals' analytic
+Jacobian, as the row norms of R^-1 (:func:`_std_errors`), and a
+rank-deficient design or Jacobian raises :class:`RankError` on every
+path. Both fits report two variance estimates that must not be
+conflated:
 
 * ``sigma2`` -- mean squared residual with denominator equal to the
   residual count (the innovation-variance convention used by the outlier
@@ -33,8 +34,8 @@ all without feedback when q = 0) runs on numpy alone: its filters are
 truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
 imported where it is first needed: ``scipy.linalg`` for the banded
 triangular solve of a filter with feedback (an MA part), and
-``scipy.optimize`` only for the Levenberg-Marquardt solve, so a fit with
-q <= 1 that stays stationary never loads it. No estimation path loads
+``scipy.optimize`` only for the theta search of a fit with q >= 2, so a
+fit with q <= 1 never loads it. No estimation path loads
 ``scipy.signal``.
 """
 
@@ -49,13 +50,11 @@ from numpy.linalg import lapack_lite
 
 from .errors import (
     ConvergenceError,
-    DegenerateError,
     DomainError,
     LengthError,
     NonInvertibleWarning,
     NonStationaryWarning,
     RankError,
-    SingularError,
 )
 from .series import TimeSeries, _levinson, _step_up, difference
 
@@ -193,7 +192,7 @@ def _warn_on_roots(phi, theta) -> None:
     if min_root_modulus(phi) <= 1.0 + _ROOT_TOL:
         warnings.warn(
             "AR polynomial has a root on or inside the unit circle; "
-            "estimates are at the stationarity boundary",
+            "estimates are at or beyond the stationarity boundary",
             NonStationaryWarning,
             stacklevel=3,
         )
@@ -459,119 +458,95 @@ def _brent(f, a: float, b: float, x: float, fx: float, tol: float = 1.48e-8) -> 
                 v, fv = u, fu
 
 
-# The theta search of a q = 1 fit runs in z = atanh(theta): a grid over
-# [-3, 3] (|theta| <= 0.995), and out to |z| = 15 (1 - |theta| = 1.9e-13,
-# where the profile is flat to rounding) only when the grid falls to an edge.
+# The theta search runs in z = atanh of the partial autocorrelations of theta:
+# a grid along the first one over [-3, 3] (|theta_1| <= 0.995), and out to
+# |z| = 15 (1 - |r| = 1.9e-13, where the profile is flat to rounding).
 _Z_GRID = np.linspace(-3.0, 3.0, 33)
 _Z_EDGE = 15.0
 
 
-def _css_projection(wv: np.ndarray, p: int, with_intercept: bool):
-    """(beta = (c, phi), theta) minimizing the CSS of a q = 1 model by variable projection.
+def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
+    """(beta = (c, phi), theta) minimizing the CSS of a q >= 1 model by variable projection.
 
     For a fixed theta the residuals of :func:`_lag_residuals`,
     theta(B)^-1 (w_t - c - sum phi_i w_{t-i}), are linear in (c, phi): one
     Householder QR of the lag design [1, w_{t-1}, ..., w_{t-p} | w_t] run
     through 1 / theta(B) gives the profiled sum of squares as its squared
-    bottom corner, and (c, phi) from R (Golub & Pereyra 1973; Kaufman
-    1975). theta is then found by a
-    grid in z = atanh(theta) and a Brent polish of every strict interior
-    grid minimum, keeping the lowest. Only a profile falling to an edge of
-    the grid is followed out towards that end of the invertible region.
-    Returns None only when the profiled phi is not stationary at the
-    chosen theta. 1 / theta(B) is a unit lower-triangular map, so the rank
-    of the filtered design does not depend on theta: a rank-deficient
-    design raises :class:`RankError` here, as it does in the AR fit.
+    bottom corner, and (c, phi) from R (Golub & Pereyra 1973). theta alone
+    is searched, in z = atanh of its partial autocorrelations, so it stays
+    invertible; phi is never searched and may come out non-stationary.
+    The search starts on a grid along z_1 with the other z at 0 and takes
+    every strict interior grid minimum (or, when the profile falls to an
+    edge of the grid, the lowest grid point). For q = 1 each start is
+    polished by Brent's method within its grid bracket, out to
+    |z| = 15 at an edge. For q >= 2 the starts, with all z at 0 and
+    +/-atanh 0.5 when p > 0, are polished by the bounded least-squares
+    solve of ``scipy.optimize`` on the profiled residuals, with Kaufman's
+    (1975) Jacobian: the theta columns of :func:`_css_jacobian` with the
+    (c, phi) columns projected out through R. The lowest end is kept. 1 /
+    theta(B) is a unit lower-triangular map, so the rank of the filtered
+    design does not depend on theta: a rank-deficient design raises
+    :class:`RankError`, as it does in the AR fit.
     """
     design = _lagged_design(wv, p, with_intercept)
     n, m = design.shape
     a = np.empty_like(design)  # the per-theta working copy, filtered and factored in place
 
-    def profile(z):
+    def factor(ma):
         np.copyto(a, design)
-        _lfilter([1.0], [1.0, -math.tanh(z)], a, overwrite_x=True)
+        _lfilter([1.0], ma, a, overwrite_x=True)
         corner = float(_qr(a)[m - 1, m - 1])
         sse = corner * corner  # inf, not an overflow warning, past the largest float
         if not math.isfinite(sse):
             raise ConvergenceError("the profiled conditional sum of squares is not finite")
         return sse
 
+    def profile(z):  # along z_1, the other z at 0
+        return factor([1.0, -math.tanh(z)])
+
     f = np.array([profile(g) for g in _Z_GRID])
     inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])) + 1
     if not inner.size:  # the lowest grid point, nearest theta = 0 among ties: an edge only when
         near = np.argsort(np.abs(_Z_GRID), kind="stable")  # the profile falls to it
         inner = [int(near[np.argmin(f[near])])]
-    brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
-    z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
-            key=lambda t: t[1])[0]
-    profile(z)  # leaves the factor at the chosen theta in a
-    coef = _solve(a[:m], n)[0]
-    if min_root_modulus(coef[1 if with_intercept else 0:]) <= 1.0 + _ROOT_TOL:
-        return None
-    return coef, np.array([math.tanh(z)])
+    if q == 1:
+        brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
+        z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
+                key=lambda t: t[1])[0]
+        theta = np.array([math.tanh(z)])
+    else:
+        from scipy import optimize
 
+        _solve(a[:m], n)  # the rank check, before a solve on a singular R
+        at = {}  # the latest point of resid: z, theta, d theta / d z, beta, R and the residuals
 
-def _css_lm(w: TimeSeries, p: int, q: int, with_intercept: bool):
-    """(beta = (c, phi), theta) minimizing the CSS by Levenberg-Marquardt in tanh-PACF coordinates.
+        def resid(z):
+            theta, dtheta = _from_pacf(z)
+            factor(_lag_poly(theta))
+            R = np.triu(a[:m - 1, :m - 1])
+            beta = np.linalg.solve(R, a[:m - 1, m - 1])
+            at.update(z=z.copy(), theta=theta, dtheta=dtheta, beta=beta, R=R,
+                      e=_lag_residuals(wv, beta, with_intercept, theta))
+            return at["e"]
 
-    The search runs over the process mean and the arctanh of the partial
-    autocorrelations of phi and of theta, so every iterate is stationary
-    and invertible; a fit that would leave that region stops on its
-    boundary. Each point maps to the intercept c = mean (1 - sum phi) for
-    :func:`_lag_residuals`, and the analytic Jacobian of
-    :func:`_css_jacobian` is chained back through that map. The solve
-    starts from the sample mean, the Yule-Walker estimate for phi (zeros
-    if it breaks down) and zeros for theta; models with both an AR and an
-    MA part also start from MA partial autocorrelations of +/-0.5 and keep
-    the lowest sum of squares.
-    """
-    from scipy import optimize
+        def jac(z):  # Kaufman's: the theta columns less their projection on the (c, phi) columns
+            if not np.array_equal(z, at["z"]):
+                resid(z)
+            J = _css_jacobian(wv, at["e"], at["beta"], at["theta"], with_intercept)
+            Jb, Jt, R = J[:, :m - 1], J[:, m - 1:], at["R"]
+            return (Jt - Jb @ np.linalg.solve(R, np.linalg.solve(R.T, Jb.T @ Jt))) @ at["dtheta"]
 
-    wv = w.values
-    k = 1 if with_intercept else 0
-    pacf0 = np.zeros(p)
-    if p > 0:
-        try:
-            pacf0 = np.clip(_levinson(w, p)[1], -0.99, 0.99)  # off the flat ends of tanh
-        except (SingularError, DegenerateError):
-            pass
-    head = np.concatenate([[wv.mean()] if with_intercept else [], np.arctanh(pacf0)])
-
-    def unpack(x):
-        phi, dphi = _from_pacf(x[k:k + p])
-        theta, dtheta = _from_pacf(x[k + p:])
-        beta = np.concatenate([[x[0] * (1.0 - phi.sum())] if with_intercept else [], phi])
-        return beta, dphi, theta, dtheta
-
-    last = [None, None, None]  # x, unpack(x) and residuals of the latest resid call
-
-    def resid(x):
-        u = unpack(x)
-        last[:] = x.copy(), u, _lag_residuals(wv, u[0], with_intercept, u[2])
-        return last[2]
-
-    def jac(x):
-        if not np.array_equal(x, last[0]):  # the solver mostly asks at its latest residual point
-            resid(x)
-        (beta, dphi, theta, dtheta), a = last[1:]
-        J = _css_jacobian(wv, a, beta, theta, with_intercept)
-        if with_intercept:  # from d/d(c, phi) to d/d(mean, phi), through c = mean (1 - sum phi)
-            J[:, 1:1 + p] -= J[:, :1] * x[0]
-            J[:, 0] *= 1.0 - beta[1:].sum()
-        J[:, k:k + p] = J[:, k:k + p] @ dphi
-        J[:, k + p:] = J[:, k + p:] @ dtheta
-        return J
-
-    # a mixed model's CSS surface can have a second basin across the phi = theta
-    # cancellation ridge, so the MA partial autocorrelations start at 0 and +/-0.5
-    ma_starts = (0.0, 0.5, -0.5) if p and q else (0.0,)
-    res = min((optimize.least_squares(resid, np.append(head, np.full(q, np.arctanh(r0))), jac=jac,
-                                      method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10)
-               for r0 in ma_starts), key=lambda r: r.cost)
-    if res.status <= 0:
-        raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
-    beta, _, theta, _ = unpack(res.x)
-    return beta, theta
+        starts = [np.append(_Z_GRID[i], np.zeros(q - 1)) for i in inner]
+        if p:  # a mixed model's CSS surface can have a second basin across the phi = theta cancellation ridge
+            starts += [np.full(q, np.arctanh(r0)) for r0 in (0.0, 0.5, -0.5)]
+        res = min((optimize.least_squares(resid, z0, jac=jac, method="trf", bounds=(-_Z_EDGE, _Z_EDGE),
+                                          x_scale="jac", ftol=1e-10, xtol=1e-10) for z0 in starts),
+                  key=lambda r: r.cost)
+        if res.status <= 0:
+            raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
+        theta = _from_pacf(res.x)[0]
+    factor(_lag_poly(theta))  # leaves the factor at the chosen theta in a
+    return _solve(a[:m], n)[0], theta
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
@@ -579,27 +554,25 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
 
     The d-fold difference is taken first. The objective sums squared
     shocks reconstructed recursively with zero pre-sample shocks,
-    conditioning on the first p differenced observations. The fit stays
-    in the stationary and invertible region, and ends on its boundary
-    only with a warning.
+    conditioning on the first p differenced observations.
 
     For q = 0 the conditional sum of squares is the AR least-squares fit,
-    and that fit is returned (:func:`fit_arima`). For q = 1,
-    (intercept, phi) are profiled out by least squares and theta is
-    searched alone (:func:`_css_projection`). The target is the
-    lowest local minimum inside the region: the fit ends on the
-    invertibility boundary only when the objective keeps falling towards
-    it, and it does not look for a lower sum of squares on the boundary
-    once it has an interior minimum. For q >= 2, or when the profiled
-    phi is not stationary, the objective is minimized by
-    Levenberg-Marquardt over the partial autocorrelations of phi and
-    theta from a few starts (:func:`_css_lm`), keeping the lowest end
-    point, which may lie on the boundary. Both return the intercept form
-    (c, phi, theta) that is reported; the residuals are
-    :func:`_lag_residuals` and the standard errors come from the R factor
-    of their analytic Jacobian (:func:`_css_jacobian`) at the optimum, by
-    :func:`_std_errors`. A rank-deficient design or Jacobian (a constant
-    series, or one the model fits exactly) raises :class:`RankError`.
+    and that fit is returned (:func:`fit_arima`). Otherwise (intercept,
+    phi) are profiled out by least squares and theta is searched alone,
+    inside the invertible region (:func:`_css_projection`): for q = 1 by
+    a grid and a Brent polish, for q >= 2 by a bounded least-squares
+    solve from a few starts. The target is the lowest local minimum
+    inside the region: the fit ends on the invertibility boundary, with a
+    :class:`NonInvertibleWarning`, only when the objective keeps falling
+    towards it. phi is never searched: it is the least-squares profile at
+    the chosen theta, as in the AR fit, and a non-stationary phi (a
+    trend, a random walk, explosive growth) is returned with a
+    :class:`NonStationaryWarning`. The fit reports the intercept form
+    (c, phi, theta); the residuals are :func:`_lag_residuals` and the
+    standard errors come from the R factor of their analytic Jacobian
+    (:func:`_css_jacobian`) at the optimum, by :func:`_std_errors`. A
+    rank-deficient design or Jacobian (a constant series, or one the
+    model fits exactly) raises :class:`RankError`.
     """
     p, d, q = order.p, order.d, order.q
     if q == 0:
@@ -609,8 +582,7 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     w = difference(series, d)
     wv = w.values
     k = 1 if with_intercept else 0
-    est = _css_projection(wv, p, with_intercept) if q == 1 else None
-    beta, theta_v = est if est is not None else _css_lm(w, p, q, with_intercept)
+    beta, theta_v = _css_projection(wv, p, q, with_intercept)
     a = _lag_residuals(wv, beta, with_intercept, theta_v)
     sse = float(a @ a)
     if not math.isfinite(sse):

@@ -17,9 +17,10 @@ from hypothesis import settings
 from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
-from aoarima.errors import DegenerateError, DomainError, SingularError
-from aoarima.estimation import _lag_poly, min_root_modulus
+from aoarima.errors import ConvergenceError, DegenerateError, DomainError, SingularError
+from aoarima.estimation import _css_jacobian, _from_pacf, _lag_poly, _lag_residuals, min_root_modulus
 from aoarima.outliers import _stats_all_positions
+from aoarima.series import _levinson
 
 # keep property tests reproducible run to run
 settings.register_profile("repo", derandomize=True)
@@ -143,6 +144,73 @@ def css_nelder_mead(series, order, with_intercept=True):
         candidates.append((float(res.fun), np.asarray(res.x, dtype=float)))
     sse, x = min(candidates, key=lambda c: c[0])
     return sse, (float(x[0]) if with_intercept else 0.0), x[k:k + p], x[k + p:]
+
+
+def css_lm_reference(w: TimeSeries, p: int, q: int, with_intercept: bool):
+    """Reference CSS fit: (beta = (c, phi), theta) by Levenberg-Marquardt in tanh-PACF coordinates.
+
+    The search the library ran for q >= 2, and for q = 1 fits whose
+    profiled phi was not stationary, before it profiled (c, phi) out for
+    every q.
+
+    The search runs over the process mean and the arctanh of the partial
+    autocorrelations of phi and of theta, so every iterate is stationary
+    and invertible; a fit that would leave that region stops on its
+    boundary. Each point maps to the intercept c = mean (1 - sum phi) for
+    :func:`_lag_residuals`, and the analytic Jacobian of
+    :func:`_css_jacobian` is chained back through that map. The solve
+    starts from the sample mean, the Yule-Walker estimate for phi (zeros
+    if it breaks down) and zeros for theta; models with both an AR and an
+    MA part also start from MA partial autocorrelations of +/-0.5 and keep
+    the lowest sum of squares.
+    """
+    from scipy import optimize
+
+    wv = w.values
+    k = 1 if with_intercept else 0
+    pacf0 = np.zeros(p)
+    if p > 0:
+        try:
+            pacf0 = np.clip(_levinson(w, p)[1], -0.99, 0.99)  # off the flat ends of tanh
+        except (SingularError, DegenerateError):
+            pass
+    head = np.concatenate([[wv.mean()] if with_intercept else [], np.arctanh(pacf0)])
+
+    def unpack(x):
+        phi, dphi = _from_pacf(x[k:k + p])
+        theta, dtheta = _from_pacf(x[k + p:])
+        beta = np.concatenate([[x[0] * (1.0 - phi.sum())] if with_intercept else [], phi])
+        return beta, dphi, theta, dtheta
+
+    last = [None, None, None]  # x, unpack(x) and residuals of the latest resid call
+
+    def resid(x):
+        u = unpack(x)
+        last[:] = x.copy(), u, _lag_residuals(wv, u[0], with_intercept, u[2])
+        return last[2]
+
+    def jac(x):
+        if not np.array_equal(x, last[0]):  # the solver mostly asks at its latest residual point
+            resid(x)
+        (beta, dphi, theta, dtheta), a = last[1:]
+        J = _css_jacobian(wv, a, beta, theta, with_intercept)
+        if with_intercept:  # from d/d(c, phi) to d/d(mean, phi), through c = mean (1 - sum phi)
+            J[:, 1:1 + p] -= J[:, :1] * x[0]
+            J[:, 0] *= 1.0 - beta[1:].sum()
+        J[:, k:k + p] = J[:, k:k + p] @ dphi
+        J[:, k + p:] = J[:, k + p:] @ dtheta
+        return J
+
+    # a mixed model's CSS surface can have a second basin across the phi = theta
+    # cancellation ridge, so the MA partial autocorrelations start at 0 and +/-0.5
+    ma_starts = (0.0, 0.5, -0.5) if p and q else (0.0,)
+    res = min((optimize.least_squares(resid, np.append(head, np.full(q, np.arctanh(r0))), jac=jac,
+                                      method="lm", x_scale="jac", ftol=1e-10, xtol=1e-10)
+               for r0 in ma_starts), key=lambda r: r.cost)
+    if res.status <= 0:
+        raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
+    beta, _, theta, _ = unpack(res.x)
+    return beta, theta
 
 
 def pi_weights_loop(fit, m):

@@ -225,6 +225,14 @@ class TestDetectCommand:
         assert "hint" in captured.err
         assert "NaN" not in captured.out
 
+    @pytest.mark.parametrize("order", ["0,1,1", "1,0,1"])
+    def test_exact_fit_without_intercept_does_not_suggest_no_intercept(self, tmp_path, capsys, order):
+        p = tmp_path / "const.csv"
+        p.write_text("value\n" + "5.0\n" * 60)
+        assert main(["fit", "--input", str(p), "--order", order, "--no-intercept"]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "hint" in err and "try --no-intercept" not in err
+
     def test_scan_margin_below_p_exits_3_naming_it(self, tmp_path, capsys):
         values = read_series_csv(demo_csv()).values.copy()
         values[0] += 15.0  # the scan from position 1 accepts label 1, which the joint regression lacks

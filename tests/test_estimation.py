@@ -15,6 +15,7 @@ from aoarima import (
     DomainError,
     LengthError,
     NonInvertibleWarning,
+    NonStationaryWarning,
     RankError,
     SingularError,
     TimeSeries,
@@ -33,7 +34,6 @@ from aoarima.estimation import (
     _ROOT_TOL,
     PiWeights,
     _css_jacobian,
-    _css_lm,
     _css_projection,
     _filter_backward,
     _from_pacf,
@@ -48,6 +48,7 @@ from aoarima.simulate import SimSpec, simulate
 
 from conftest import (
     FILTER_MODELS,
+    css_lm_reference,
     css_nelder_mead,
     css_residuals,
     filter_residuals_fir,
@@ -249,13 +250,38 @@ class TestFitArmaCss:
         assert compared >= 4
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
-        # q = 2 is fitted by Levenberg-Marquardt, which fit_arma_css imports from scipy.optimize
+        # q = 2 polishes theta by the bounded least-squares solve, which fit_arma_css imports from
+        # scipy.optimize; one evaluation per start ends every solve unconverged
         real = optimize.least_squares
         monkeypatch.setattr(optimize, "least_squares",
                             lambda *args, **kw: real(*args, **{**kw, "max_nfev": 1}))
         y = simulate(SimSpec(order=ArimaOrder(1, 0, 2), n=200, seed=3, phi=(0.5,), theta=(0.3, -0.2)))
         with pytest.raises(ConvergenceError):
             fit_arma_css(y, ArimaOrder(1, 0, 2), with_intercept=True)
+
+    # the profiled phi of a trend is explosive; the search that held phi stationary raised
+    # ConvergenceError here, its optimum out at infinity in tanh coordinates
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_trend_returns_explosive_phi_with_a_warning(self, seed):
+        y = TimeSeries(0.5 * np.arange(200) + np.random.default_rng(seed).standard_normal(200))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_arma_css(y, ArimaOrder(1, 0, 1), with_intercept=True)
+            detect_iterative(y, fit, DetectionConfig())
+        assert any(issubclass(w.category, NonStationaryWarning) for w in caught)
+        assert sum(fit.phi) > 1.0
+
+    # ARMA(1,1) data fitted at 2,0,2, where that search raised ConvergenceError on a boundary optimum
+    @pytest.mark.parametrize("seed", [1004, 1011, 1039, 1041, 1054, 1058, 1069, 1071, 1074, 1096])
+    def test_overfitted_arma22_returns_and_warns_only_on_the_boundary(self, seed):
+        y = simulate(SimSpec(order=ArimaOrder(1, 0, 1), n=200, seed=seed, phi=(0.5,), theta=(0.6,),
+                             intercept=0.3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_arma_css(y, ArimaOrder(2, 0, 2), with_intercept=True)
+        warned = any(issubclass(w.category, NonInvertibleWarning) for w in caught)
+        assert warned == (min_root_modulus(fit.theta) <= 1.0 + _ROOT_TOL)
+        assert math.isfinite(fit.sse)
 
     def test_non_finite_profile_raises_convergence_error(self):
         # squares of ~1e200 overflow, so every profiled sum of squares is infinite
@@ -277,7 +303,7 @@ class TestFitArmaCss:
         y = TimeSeries(np.ones(60))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta, theta = _css_projection(difference(y, 1).values, 0, True)
+            beta, theta = _css_projection(difference(y, 1).values, 0, 1, True)
         assert theta.tolist() == [0.0]
         assert beta.tolist() == [0.0]
         with pytest.raises(RankError):
@@ -303,7 +329,7 @@ class TestFitArmaCss:
         result = detect_iterative(y, fit, DetectionConfig())
         assert all(abs(r.lambda_hat) < 3.1 for r in result.outliers)  # 3.01 at T = 18, borderline at c = 3
 
-    # LM in tanh-PACF coordinates, the solve variable projection replaced for q = 1
+    # LM over (mean, tanh-PACF phi, tanh-PACF theta), the search the profile replaced
     @pytest.mark.parametrize("with_intercept", [True, False])
     @pytest.mark.parametrize("p, d, phi, theta", [
         (1, 0, (0.5,), (0.6,)),
@@ -318,7 +344,7 @@ class TestFitArmaCss:
             y = simulate(SimSpec(order=order, n=200, seed=s, phi=phi, theta=theta,
                                  intercept=0.3 if with_intercept else 0.0))
             w = difference(y, d)
-            beta, theta_lm = _css_lm(w, p, 1, with_intercept)
+            beta, theta_lm = css_lm_reference(w, p, 1, with_intercept)
             phi_lm = beta[1:] if with_intercept else beta
             if min(min_root_modulus(phi_lm), min_root_modulus(theta_lm)) <= 1.0 + _ROOT_TOL:
                 continue  # LM ended on the boundary; the projection keeps an interior minimum

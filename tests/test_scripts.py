@@ -52,7 +52,7 @@ def test_output_parity_of_two_dumps(tmp_path):
 
 
 def test_output_parity_at_a_given_order(tmp_path):
-    # q = 2 is fitted by Levenberg-Marquardt, a path no workload order takes
+    # q = 2 searches theta by a bounded least-squares solve, a path no workload order takes
     dumps = [str(tmp_path / f"{name}.json") for name in "ab"]
     for out in dumps:
         proc = run("output_parity.py", "dump", "--workload", "arima_css", "--order", "1,1,2", "--seeds", "401",
