@@ -2,14 +2,15 @@
 """Parity of the CSS fit (variable projection) against the Levenberg-Marquardt reference.
 
 ``fit_arma_css`` profiles (intercept, phi) out by least squares and
-searches theta alone: for q = 1 by a grid and a Brent polish, for q >= 2
-by a bounded least-squares solve over the partial autocorrelations of
-theta. The Levenberg-Marquardt (LM) multistart over the process mean and
-the partial autocorrelations of phi and theta is what it replaced, kept
-as ``css_lm_reference`` in ``tests/conftest.py``; it holds phi
-stationary, where the projection returns the least-squares phi with a
-warning. This script fits both on models with an intercept at n = 200,
-over the seeds 1000, 1001, ... (intercept 0.3).
+searches theta alone, over the partial autocorrelations of theta: by a
+grid and a Brent polish along the first, then, for q >= 2, by Brent
+along each in coordinate sweeps; no fit loads ``scipy.optimize``. The
+Levenberg-Marquardt (LM) multistart over the process mean and the
+partial autocorrelations of phi and theta is what it replaced, kept as
+``css_lm_reference`` in ``tests/conftest.py``; it holds phi stationary,
+where the projection returns the least-squares phi with a warning. This
+script fits both on models with an intercept at n = 200, over the seeds
+1000, 1001, ... (intercept 0.3).
 
 A fit is on the boundary when a root of phi(B) or theta(B) is within
 1e-8 of the unit circle (the fit then warns). The q = 1 table fits three
@@ -34,7 +35,8 @@ model, among the fits where LM ends inside the region, it counts those
 where the projection is worse or lower by more than 1e-9 relative; then
 the fits where the projection alone ends on the boundary ("new
 boundary") or LM alone does ("left boundary"), the fits that raise on
-each side, and the mean time per fit of each.
+each side, and the mean time per fit of each. Each worse fit and each
+new boundary end is listed with both sums of squares.
 
 Exits 1 when a q = 1 fit is worse or newly on the boundary, when the
 ``arima_css`` fits differ by more than 1e-9 relative in SSE, when a
@@ -147,7 +149,9 @@ def overfit_table(seeds: int) -> int:
             if vp is None or lm is None:
                 continue
             edge, edge_lm = on_boundary(*vp[1:3]), on_boundary(*lm[1:3])
-            counts["new"] += edge and not edge_lm
+            if edge and not edge_lm:
+                counts["new"] += 1
+                print(f"  new boundary: {name} seed {seed}: SSE {vp[0]!r} against LM {lm[0]!r}")
             counts["left"] += edge_lm and not edge
             if edge_lm:
                 continue

@@ -6,11 +6,11 @@ workload's order and critical value, an intercept, and warnings off) on
 the series of one benchmark workload (``perfbench/inputs.py``) for each
 given seed, and writes every number they return to a JSON file.
 ``--order p,d,q`` fits that order instead of the workload's, so a path
-the workloads do not take (say the bounded least-squares theta search
-of q >= 2) gets the same comparison. JSON
-writes a float as its shortest round-trip repr, so the dump keeps every
-bit. The ``aoarima`` imported is whatever ``PYTHONPATH`` names, so two
-checkouts are compared by dumping from each:
+the workloads do not take (say the coordinate sweeps of Brent searches
+that find theta for q >= 2) gets the same comparison. JSON writes a
+float as its shortest round-trip repr, so the dump keeps every bit. The
+``aoarima`` imported is whatever ``PYTHONPATH`` names, so two checkouts
+are compared by dumping from each:
 
     PYTHONPATH=A/src python3 scripts/output_parity.py dump --workload ar_long --seeds 401 402 --out a.json
     PYTHONPATH=B/src python3 scripts/output_parity.py dump --workload ar_long --seeds 401 402 --out b.json

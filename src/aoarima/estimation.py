@@ -8,16 +8,16 @@ x_t - c - phi_1 x_{t-1} - ... - phi_p x_{t-p}, passed through
 coordinates (c, phi, theta) of that residual. For a fixed theta the CSS
 residuals are linear in c and phi, so those are profiled out by one QR
 and theta is searched alone, inside the invertible region (variable
-projection): on a grid and by a Brent polish with one MA coefficient, by
-a bounded least-squares solve with more. phi is the least-squares
-profile, as in the AR fit, so it may come out non-stationary; a
-non-stationary phi or a theta on the invertibility boundary warns. A CSS
-fit with no MA part is the AR fit. The standard errors of every fit come
-from one R factor, that of the lag design or of the residuals' analytic
-Jacobian, as the row norms of R^-1 (:func:`_std_errors`), and a
-rank-deficient design or Jacobian raises :class:`RankError` on every
-path. Both fits report two variance estimates that must not be
-conflated:
+projection): on a grid and by a Brent polish along its first partial
+autocorrelation, then, with more MA coefficients, by Brent along each in
+coordinate sweeps. phi is the least-squares profile, as in the AR fit,
+so it may come out non-stationary; a non-stationary phi or a theta on
+the invertibility boundary warns. A CSS fit with no MA part is the AR
+fit. The standard errors of every fit come from one R factor, that of
+the lag design or of the residuals' analytic Jacobian, as the row norms
+of R^-1 (:func:`_std_errors`), and a rank-deficient design or Jacobian
+raises :class:`RankError` on every path. Both fits report two variance
+estimates that must not be conflated:
 
 * ``sigma2`` -- mean squared residual with denominator equal to the
   residual count (the innovation-variance convention used by the outlier
@@ -32,11 +32,9 @@ filter here is the one recursive filter :func:`_lfilter`. The AR path
 (OLS, the residual filter, the pi weights and the backward scan filter,
 all without feedback when q = 0) runs on numpy alone: its filters are
 truncated convolutions and its QR is numpy's bundled LAPACK. scipy is
-imported where it is first needed: ``scipy.linalg`` for the banded
-triangular solve of a filter with feedback (an MA part), and
-``scipy.optimize`` only for the theta search of a fit with q >= 2, so a
-fit with q <= 1 never loads it. No estimation path loads
-``scipy.signal``.
+imported where it is first needed, ``scipy.linalg`` for the banded
+triangular solve of a filter with feedback (an MA part). No estimation
+path loads ``scipy.signal`` or ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .errors import (
     NonStationaryWarning,
     RankError,
 )
-from .series import TimeSeries, _levinson, _step_up, difference
+from .series import TimeSeries, _levinson, difference
 
 __all__ = [
     "ArimaOrder",
@@ -378,22 +376,19 @@ def yule_walker(series: TimeSeries, p: int) -> np.ndarray:
     return _levinson(series, p)[0]
 
 
-def _from_pacf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lag coefficients whose partial autocorrelations are tanh(z), and d coef / d z.
+def _from_pacf(z) -> list:
+    """Lag coefficients whose partial autocorrelations are tanh(z), as Python floats.
 
     Every |tanh(z_k)| < 1, so 1 - c_1 B - ... has all its roots outside the
-    unit circle (Monahan 1984). The step-up is linear in the previous
-    coefficients, so their derivative columns step up with a zero last entry.
+    unit circle (Monahan 1984). The Levinson step-up runs on floats, so an
+    evaluation of the one-coefficient profile makes no numpy call for it.
     """
-    r = np.tanh(z)
-    coef = np.zeros(0)
-    jac = np.zeros((r.size, r.size))
-    for k, rk in enumerate(r):
-        jac[:k, :k] -= rk * jac[:k, :k][::-1]
-        jac[:k, k] = -coef[::-1]
-        jac[k, k] = 1.0
-        coef = _step_up(coef, rk)
-    return coef, jac * (1.0 - r * r)
+    coef = []
+    for zk in z:
+        r = math.tanh(zk)
+        coef = [c - r * b for c, b in zip(coef, reversed(coef))]
+        coef.append(r)
+    return coef
 
 
 def _css_jacobian(w: np.ndarray, a: np.ndarray, beta: np.ndarray, theta: np.ndarray,
@@ -460,9 +455,14 @@ def _brent(f, a: float, b: float, x: float, fx: float, tol: float = 1.48e-8) -> 
 
 # The theta search runs in z = atanh of the partial autocorrelations of theta:
 # a grid along the first one over [-3, 3] (|theta_1| <= 0.995), and out to
-# |z| = 15 (1 - |r| = 1.9e-13, where the profile is flat to rounding).
+# |z| = 15 (1 - |r| = 1.9e-13, where the profile is flat to rounding). Each
+# step after the first searches +/-0.75 around the current z_j, and a search
+# still moving after 1 000 sweeps raises.
 _Z_GRID = np.linspace(-3.0, 3.0, 33)
 _Z_EDGE = 15.0
+_Z_STEP = 0.75
+_MAX_SWEEPS = 1000
+_SWEEP_RTOL = 1e-13
 
 
 def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
@@ -477,76 +477,65 @@ def _css_projection(wv: np.ndarray, p: int, q: int, with_intercept: bool):
     invertible; phi is never searched and may come out non-stationary.
     The search starts on a grid along z_1 with the other z at 0 and takes
     every strict interior grid minimum (or, when the profile falls to an
-    edge of the grid, the lowest grid point). For q = 1 each start is
-    polished by Brent's method within its grid bracket, out to
-    |z| = 15 at an edge. For q >= 2 the starts, with all z at 0 and
-    +/-atanh 0.5 when p > 0, are polished by the bounded least-squares
-    solve of ``scipy.optimize`` on the profiled residuals, with Kaufman's
-    (1975) Jacobian: the theta columns of :func:`_css_jacobian` with the
-    (c, phi) columns projected out through R. The lowest end is kept. 1 /
-    theta(B) is a unit lower-triangular map, so the rank of the filtered
-    design does not depend on theta: a rank-deficient design raises
-    :class:`RankError`, as it does in the AR fit.
+    edge of the grid, the lowest grid point); with q >= 2 and p > 0 it also
+    starts from all z at 0 and at +/-atanh 0.5, with a bracket of +/-0.75.
+    Each start is polished by Brent's method along z_1 within its bracket,
+    out to |z| = 15 at an edge of the grid; with q = 1 that is the search.
+    With q >= 2 coordinate sweeps follow: Brent along z_1, ..., z_q in
+    turn, each within +/-0.75 of where it stands, until a sweep lowers the
+    profiled sum of squares by no more than 1e-13 relative. The lowest end
+    is kept. 1 / theta(B) is a unit lower-triangular map, so the rank of
+    the filtered design does not depend on theta: a rank-deficient design
+    raises :class:`RankError` in the final solve, as it does in the AR fit.
     """
     design = _lagged_design(wv, p, with_intercept)
     n, m = design.shape
     a = np.empty_like(design)  # the per-theta working copy, filtered and factored in place
 
-    def factor(ma):
+    def profile(z):
         np.copyto(a, design)
-        _lfilter([1.0], ma, a, overwrite_x=True)
+        _lfilter([1.0], [1.0, *(-c for c in _from_pacf(z))], a, overwrite_x=True)
         corner = float(_qr(a)[m - 1, m - 1])
         sse = corner * corner  # inf, not an overflow warning, past the largest float
         if not math.isfinite(sse):
             raise ConvergenceError("the profiled conditional sum of squares is not finite")
         return sse
 
-    def profile(z):  # along z_1, the other z at 0
-        return factor([1.0, -math.tanh(z)])
+    def polish(z, j, lo, hi, fz):  # Brent along z_j within [lo, hi], the other z held
+        def along(t):
+            z[j] = t
+            return profile(z)
 
-    f = np.array([profile(g) for g in _Z_GRID])
+        z[j], fz = _brent(along, lo, hi, z[j], fz)
+        return fz
+
+    def search(z, lo, hi, fz):
+        fz, sweeps = polish(z, 0, lo, hi, fz), 0
+        while q > 1:  # coordinate sweeps until one stands still
+            before = fz
+            for j in range(q):
+                fz = polish(z, j, max(z[j] - _Z_STEP, -_Z_EDGE), min(z[j] + _Z_STEP, _Z_EDGE), fz)
+            if before - fz <= _SWEEP_RTOL * before:
+                break
+            sweeps += 1
+            if sweeps == _MAX_SWEEPS:
+                raise ConvergenceError(f"the theta search still moved after {_MAX_SWEEPS} sweeps")
+        return z, fz
+
+    rest = [0.0] * (q - 1)
+    f = np.array([profile([g] + rest) for g in _Z_GRID])
     inner = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])) + 1
     if not inner.size:  # the lowest grid point, nearest theta = 0 among ties: an edge only when
         near = np.argsort(np.abs(_Z_GRID), kind="stable")  # the profile falls to it
         inner = [int(near[np.argmin(f[near])])]
-    if q == 1:
-        brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
-        z = min((_brent(profile, brackets[i], brackets[i + 2], _Z_GRID[i], f[i]) for i in inner),
-                key=lambda t: t[1])[0]
-        theta = np.array([math.tanh(z)])
-    else:
-        from scipy import optimize
-
-        _solve(a[:m], n)  # the rank check, before a solve on a singular R
-        at = {}  # the latest point of resid: z, theta, d theta / d z, beta, R and the residuals
-
-        def resid(z):
-            theta, dtheta = _from_pacf(z)
-            factor(_lag_poly(theta))
-            R = np.triu(a[:m - 1, :m - 1])
-            beta = np.linalg.solve(R, a[:m - 1, m - 1])
-            at.update(z=z.copy(), theta=theta, dtheta=dtheta, beta=beta, R=R,
-                      e=_lag_residuals(wv, beta, with_intercept, theta))
-            return at["e"]
-
-        def jac(z):  # Kaufman's: the theta columns less their projection on the (c, phi) columns
-            if not np.array_equal(z, at["z"]):
-                resid(z)
-            J = _css_jacobian(wv, at["e"], at["beta"], at["theta"], with_intercept)
-            Jb, Jt, R = J[:, :m - 1], J[:, m - 1:], at["R"]
-            return (Jt - Jb @ np.linalg.solve(R, np.linalg.solve(R.T, Jb.T @ Jt))) @ at["dtheta"]
-
-        starts = [np.append(_Z_GRID[i], np.zeros(q - 1)) for i in inner]
-        if p:  # a mixed model's CSS surface can have a second basin across the phi = theta cancellation ridge
-            starts += [np.full(q, np.arctanh(r0)) for r0 in (0.0, 0.5, -0.5)]
-        res = min((optimize.least_squares(resid, z0, jac=jac, method="trf", bounds=(-_Z_EDGE, _Z_EDGE),
-                                          x_scale="jac", ftol=1e-10, xtol=1e-10) for z0 in starts),
-                  key=lambda r: r.cost)
-        if res.status <= 0:
-            raise ConvergenceError(f"conditional sum of squares did not converge: {res.message}")
-        theta = _from_pacf(res.x)[0]
-    factor(_lag_poly(theta))  # leaves the factor at the chosen theta in a
-    return _solve(a[:m], n)[0], theta
+    brackets = np.concatenate([[-_Z_EDGE], _Z_GRID, [_Z_EDGE]])  # brackets[i] is the grid's i - 1
+    starts = [([_Z_GRID[i]] + rest, brackets[i], brackets[i + 2], f[i]) for i in inner]
+    if p and q > 1:  # a mixed model's CSS surface can have a second basin across the phi = theta ridge
+        starts += [([z0] * q, z0 - _Z_STEP, z0 + _Z_STEP, profile([z0] * q))
+                   for z0 in (0.0, math.atanh(0.5), -math.atanh(0.5))]
+    z = min((search(*start) for start in starts), key=lambda t: t[1])[0]
+    profile(z)  # leaves the factor at the chosen theta in a
+    return _solve(a[:m], n)[0], np.array(_from_pacf(z))
 
 
 def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = True) -> ArimaFit:
@@ -559,9 +548,10 @@ def fit_arma_css(series: TimeSeries, order: ArimaOrder, with_intercept: bool = T
     For q = 0 the conditional sum of squares is the AR least-squares fit,
     and that fit is returned (:func:`fit_arima`). Otherwise (intercept,
     phi) are profiled out by least squares and theta is searched alone,
-    inside the invertible region (:func:`_css_projection`): for q = 1 by
-    a grid and a Brent polish, for q >= 2 by a bounded least-squares
-    solve from a few starts. The target is the lowest local minimum
+    inside the invertible region (:func:`_css_projection`): by a grid and
+    a Brent polish along its first partial autocorrelation, then, for
+    q >= 2, by Brent along each partial autocorrelation in coordinate
+    sweeps, from a few starts. The target is the lowest local minimum
     inside the region: the fit ends on the invertibility boundary, with a
     :class:`NonInvertibleWarning`, only when the objective keeps falling
     towards it. phi is never searched: it is the least-squares profile at

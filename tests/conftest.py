@@ -18,9 +18,9 @@ from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
 from aoarima.errors import ConvergenceError, DegenerateError, DomainError, SingularError
-from aoarima.estimation import _css_jacobian, _from_pacf, _lag_poly, _lag_residuals, min_root_modulus
+from aoarima.estimation import _css_jacobian, _lag_poly, _lag_residuals, min_root_modulus
 from aoarima.outliers import _stats_all_positions
-from aoarima.series import _levinson
+from aoarima.series import _levinson, _step_up
 
 # keep property tests reproducible run to run
 settings.register_profile("repo", derandomize=True)
@@ -146,6 +146,25 @@ def css_nelder_mead(series, order, with_intercept=True):
     return sse, (float(x[0]) if with_intercept else 0.0), x[k:k + p], x[k + p:]
 
 
+def from_pacf_with_jacobian(z):
+    """Lag coefficients whose partial autocorrelations are tanh(z), and d coef / d z.
+
+    The coefficients are those of the library's ``_from_pacf`` (tanh of
+    each z by ``math.tanh``, the same step-up), bit for bit. The step-up is
+    linear in the previous coefficients, so their derivative columns step
+    up with a zero last entry.
+    """
+    r = np.array([math.tanh(zk) for zk in z])
+    coef = np.zeros(0)
+    jac = np.zeros((r.size, r.size))
+    for k, rk in enumerate(r):
+        jac[:k, :k] -= rk * jac[:k, :k][::-1]
+        jac[:k, k] = -coef[::-1]
+        jac[k, k] = 1.0
+        coef = _step_up(coef, rk)
+    return coef, jac * (1.0 - r * r)
+
+
 def css_lm_reference(w: TimeSeries, p: int, q: int, with_intercept: bool):
     """Reference CSS fit: (beta = (c, phi), theta) by Levenberg-Marquardt in tanh-PACF coordinates.
 
@@ -177,8 +196,8 @@ def css_lm_reference(w: TimeSeries, p: int, q: int, with_intercept: bool):
     head = np.concatenate([[wv.mean()] if with_intercept else [], np.arctanh(pacf0)])
 
     def unpack(x):
-        phi, dphi = _from_pacf(x[k:k + p])
-        theta, dtheta = _from_pacf(x[k + p:])
+        phi, dphi = from_pacf_with_jacobian(x[k:k + p])
+        theta, dtheta = from_pacf_with_jacobian(x[k + p:])
         beta = np.concatenate([[x[0] * (1.0 - phi.sum())] if with_intercept else [], phi])
         return beta, dphi, theta, dtheta
 

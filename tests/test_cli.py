@@ -435,15 +435,17 @@ assert aoarima.cli.main(["detect", "--input", csv, "--order", "2,0,0", "--output
 no_scipy("an AR detect")
 assert aoarima.cli.main(["fit", "--input", csv, "--order", "2,0,0", "--output", out]) == 0
 no_scipy("an AR fit")
-assert aoarima.cli.main(["fit", "--input", csv, "--order", "1,0,1", "--output", out]) == 0
-assert scipy_modules(), "an MA fit ran without scipy"
-for unused in ("scipy.signal", "scipy.optimize"):  # the q = 1 fit is a variable projection
-    mods = [m for m in scipy_modules() if m == unused or m.startswith(unused + ".")]
-    assert not mods, f"an MA fit loaded {len(mods)} {unused} modules"
+for order in ("1,0,1", "1,0,2"):  # every theta search is a variable projection, searched by Brent
+    assert aoarima.cli.main(["fit", "--input", csv, "--order", order, "--output", out]) == 0
+    assert scipy_modules(), "an MA fit ran without scipy"
+    for unused in ("scipy.signal", "scipy.optimize"):
+        mods = [m for m in scipy_modules() if m == unused or m.startswith(unused + ".")]
+        assert not mods, f"an MA fit at {order} loaded {len(mods)} {unused} modules"
 """
 
 
-def imports_scipy_signal(path) -> bool:
+def imports_module(path, module: str) -> bool:
+    """Whether the Python file at ``path`` imports ``module`` or one of its submodules."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
@@ -451,7 +453,7 @@ def imports_scipy_signal(path) -> bool:
             names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
         else:
             continue
-        if any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in names):
+        if any(m == module or m.startswith(module + ".") for m in names):
             return True
     return False
 
@@ -467,7 +469,8 @@ class TestColdPath:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_no_module_imports_scipy_signal(self):
-        # simulate keeps lfilter's rounding with a plain loop, so no module needs scipy.signal
+    # simulate keeps lfilter's rounding with a plain loop, and the theta search is Brent's
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
+    def test_no_module_imports(self, module):
         package = pathlib.Path(aoarima.__file__).parent
-        assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy_signal(p)] == []
+        assert [p.name for p in sorted(package.glob("*.py")) if imports_module(p, module)] == []
