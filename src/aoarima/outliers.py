@@ -151,8 +151,9 @@ def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0) -> tuple[i
     """Position with the largest absolute standardized statistic.
 
     Scans positions ``1 + margin .. n``, up to the final observation; ties
-    break toward the smallest position. ``pi`` needs at least n - 1
-    weights. Returns ``(T, omega, lambda)``.
+    break toward the smallest position. The position is chosen by the
+    squared statistic num^2 / tau2, so only the chosen one takes a square
+    root. ``pi`` needs at least n - 1 weights. Returns ``(T, omega, lambda)``.
     """
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
@@ -164,9 +165,10 @@ def scan(e: TimeSeries, pi: PiWeights, sigma: float, margin: int = 0) -> tuple[i
             f"scan window [{margin + 1}, {n}] has {max(n - margin, 0)} positions; need at least 3"
         )
     num, tau2 = _stats_all_positions(e.values, pi)
-    lam = num / (np.sqrt(tau2) * sigma)
-    s = margin + int(np.argmax(np.abs(lam[margin:])))
-    return s + 1, float(num[s] / tau2[s]), float(lam[s])
+    score = num[margin:] ** 2
+    score /= tau2[margin:]  # lambda^2 sigma^2: ranks the positions as |lambda| does, with no square root
+    s = margin + int(np.argmax(score))
+    return s + 1, float(num[s] / tau2[s]), float(num[s] / (np.sqrt(tau2[s]) * sigma))
 
 
 def adjust_residuals(e: TimeSeries, omega: float, pi: PiWeights, T: int) -> TimeSeries:

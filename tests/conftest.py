@@ -6,7 +6,8 @@ unrelated code path. The other oracles are the slower algorithms the
 library replaced (the mean-centred CSS residuals on ``scipy.signal``,
 Nelder-Mead CSS, the weight loop, the n-tap residual filter, dense
 Yule-Walker solves, the dense indicator regression, the per-position
-outlier statistics), kept as references.
+outlier statistics, the n-length pi-weight sums and the square-root scan),
+kept as references.
 """
 
 import math
@@ -18,7 +19,7 @@ from scipy import optimize, signal
 
 from aoarima import ArimaFit, ArimaOrder, PiWeights, TimeSeries, acf, difference, ols, yule_walker
 from aoarima.errors import ConvergenceError, DegenerateError, DomainError, SingularError
-from aoarima.estimation import _css_jacobian, _lag_poly, _lag_residuals, min_root_modulus
+from aoarima.estimation import _css_jacobian, _lag_poly, _lag_residuals, _lfilter, min_root_modulus
 from aoarima.outliers import _stats_all_positions
 from aoarima.series import _levinson, _step_up
 
@@ -255,6 +256,28 @@ def pi_weights_loop(fit, m):
             acc += theta[i] * w[k - i]
         w[k] = acc
     return PiWeights(_lag_poly(w[1:]), [1.0], m)  # an FIR filter: its impulse response is w
+
+
+def pi_weights_reference(ar, ma, m):
+    """Reference (weights, tau2, support) of :class:`aoarima.PiWeights`, over all m positions.
+
+    The n-length form the library ran before it built tau2 over the
+    support: the full cumulative sum of the squared weights, and the
+    support from the last non-zero weight.
+    """
+    impulse = np.concatenate([[1.0], np.zeros(m)])
+    w = -_lfilter(ar, ma, impulse)[1:]
+    tau2 = np.ones(m + 1)
+    tau2[:-1] += np.cumsum(w * w)[::-1]
+    return w, tau2, int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0
+
+
+def scan_reference(e, pi, sigma, margin=0):
+    """Reference :func:`aoarima.scan`: the position of the largest |lambda| over every position."""
+    num, tau2 = _stats_all_positions(e.values, pi)
+    lam = num / (np.sqrt(tau2) * sigma)
+    s = margin + int(np.argmax(np.abs(lam[margin:])))
+    return s + 1, float(num[s] / tau2[s]), float(lam[s])
 
 
 def filter_residuals_fir(series, fit):

@@ -58,6 +58,7 @@ from conftest import (
     make_fit,
     normal_equations_ols,
     pi_weights_loop,
+    pi_weights_reference,
 )
 
 class TestOls:
@@ -504,6 +505,38 @@ class TestPiWeights:
             target = np.convolve(target, [1.0, -1.0])
         target = np.concatenate([target, np.zeros(m + 1 - target.size)])[: m + 1]
         assert np.max(np.abs(product - target)) < 1e-10
+
+    # (phi, theta, d, m): the loop's AR, MA and mixed models, weights that
+    # underflow before m, fewer weights than p + d, a trailing zero phi
+    PI_CASES = {
+        "ar2": ((0.5, 0.3), (), 0, 499),
+        "arima110": ((0.5,), (), 1, 499),
+        "arima220": ((0.4, -0.2), (), 2, 499),
+        "ma1": ((), (0.4,), 0, 499),
+        "arma11": ((0.6,), (0.3,), 0, 499),
+        "arima111": ((0.5,), (0.3,), 1, 499),
+        "ma1_underflow": ((), (0.3,), 0, 1999),
+        "ar2_m1": ((0.5, 0.3), (), 0, 1),
+        "arima220_m_below_p_plus_d": ((0.4, -0.2), (), 2, 3),
+        "ar2_trailing_zero": ((0.5, 0.0), (), 0, 20),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PI_CASES))
+    def test_support_built_weights_match_the_full_length_reference(self, name):
+        phi, theta, d, m = self.PI_CASES[name]
+        pi = pi_weights(make_fit(phi=phi, theta=theta, d=d), m)
+        weights, tau2, support = pi_weights_reference(pi.ar, pi.ma, m)
+        assert np.array_equal(pi.weights, weights)
+        assert np.array_equal(pi.tau2, tau2)
+        assert pi.support == support
+        assert pi.weights.size == m and pi.tau2.size == m + 1
+
+    def test_underflowing_weights_end_the_support_early(self):
+        phi, theta, d, m = self.PI_CASES["ma1_underflow"]
+        pi = pi_weights(make_fit(phi=phi, theta=theta, d=d), m)
+        assert 0 < pi.support < m and pi.weights[pi.support - 1] != 0.0
+        assert not pi.weights[pi.support:].any()
+        assert pi_weights(make_fit(phi=(0.5, 0.0)), 20).support == 1
 
 
 class TestFilterResiduals:

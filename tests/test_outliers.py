@@ -39,6 +39,7 @@ from conftest import (
     omega_hat,
     pi_weights_loop,
     scan_omega,
+    scan_reference,
     scan_tau2,
     tau_squared,
 )
@@ -161,6 +162,37 @@ class TestScan:
             T, _, _ = scan(e, pi, sigma=1.0, margin=2)
             hits += T == 98
         assert hits >= 198
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("name", sorted(FILTER_MODELS))
+    def test_matches_the_square_root_reference(self, name, n, rng):
+        phi, theta, d = FILTER_MODELS[name]
+        pi = pi_weights(make_fit(phi=phi, theta=theta, d=d), n - 1)
+        for _ in range(4):
+            e = TimeSeries(rng.standard_t(df=3, size=n))
+            sigma = float(np.std(e.values))
+            for margin in (0, 1, 2, 7, n - 3):
+                assert scan(e, pi, sigma, margin) == scan_reference(e, pi, sigma, margin)
+
+    def test_exact_tie_goes_to_the_smallest_position(self):
+        pi = pi_weights(make_fit(phi=DEMO_PHI), 49)
+        e = np.zeros(50)
+        e[9], e[29], e[39] = 5.0, -5.0, 5.0  # equal |num| and the same constant tau2 at 10, 30 and 40
+        for margin in (0, 9, 10):
+            got = scan(TimeSeries(e), pi, 1.0, margin)
+            assert got == scan_reference(TimeSeries(e), pi, 1.0, margin)
+            assert got[0] == (10 if margin < 10 else 30)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_scaled_series_match_the_reference(self, scale, rng):
+        phi, theta, d = FILTER_MODELS["arima111"]
+        pi = pi_weights(make_fit(phi=phi, theta=theta, d=d), 1999)
+        base = rng.normal(size=2000)
+        base[700] += 6.0
+        e = TimeSeries(base * scale)
+        got = scan(e, pi, scale, margin=1)
+        assert got == scan_reference(e, pi, scale, margin=1)
+        assert got[0] == scan(TimeSeries(base), pi, 1.0, margin=1)[0]
 
     def test_window_too_small(self):
         pi = pi_weights(make_fit(phi=(0.5,)), 9)

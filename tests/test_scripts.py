@@ -15,6 +15,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("pick_demo_seed.py", [], ["frozen seed 20180967"]),
     ("threshold_study.py", ["--seeds", "5", "--critical", "3.0"], []),
     ("css_parity.py", ["--seeds", "3"], ["PASS"]),
+    ("detect_stages.py", ["--workload", "arima_css", "--ops", "3"],
+     ["outliers.scan ", "minor faults/call", "operation "]),
 ])
 def test_script_runs(script, args, expected):
     proc = run(script, *args)

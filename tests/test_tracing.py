@@ -11,6 +11,8 @@ run here the way the traced runs run it, and every layer must show up.
 import importlib
 import importlib.util
 import json
+import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -19,18 +21,21 @@ import pytest
 import aoarima
 from aoarima.cli import read_series_csv
 
+from conftest import pi_weights_reference
+
 _ROOT = Path(__file__).resolve().parent.parent
-_TRACING = _ROOT / "perfbench" / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_perfbench("tracing")
+inputs = _load_perfbench("inputs")
 # The per-layer metrics that spans measure: the self time of a function of its own, or a fitting stage.
 SPAN_LAYERS = set(tracing._OWN_METRIC.values()) | {"estimation.fit_ms", "outliers.final_model_ms"}
 DEMO_CSV = str(resources.files("aoarima") / "data" / "demo_series.csv")
@@ -99,3 +104,28 @@ def test_traced_operation_measures_every_layer(order):
     summary, result = traced(lambda: aoarima.detect_iterative(y, aoarima.fit_arima(y, order, True)))
     assert {t for t, _ in planted} <= {r.T for r in result.outliers}
     assert SPAN_LAYERS - summary["layer_s"].keys() == set()
+
+
+@pytest.mark.parametrize("workload", ["ar_long", "arima_css"])
+def test_traced_counts_at_benchmark_shape(workload):
+    # one operation of the workload as its traced runs make it: the first series of seed 401
+    spec = inputs.WORKLOADS[workload]
+    order = aoarima.ArimaOrder(*spec["order"])
+    y = aoarima.TimeSeries(inputs.make_cases(workload, 401)[0].values)
+    config = aoarima.DetectionConfig(critical_value=spec["critical"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = aoarima.fit_arima(y, order, True)
+        summary, result = traced(lambda: aoarima.detect_iterative(y, fit, config))
+        pi = aoarima.pi_weights(fit, y.n - order.d - 1)
+    counts, calls = summary["counts"], summary["fn_calls"]
+    scans = counts["outliers.scan_calls"]
+    support = pi_weights_reference(pi.ar, pi.ma, pi.m)[2]
+    assert summary["kernel_len_sum"] == (1 + support) * scans  # every scan: pi_0 and the support
+    assert summary["scan_macs"] == summary["kernel_len_sum"] * (y.n - order.d)
+    assert scans == result.iterations_run
+    hits = result.iterations_run - (result.terminated_by == "no_candidate")
+    assert calls["outliers.adjust_residuals"] == hits == len(result.outliers)
+    assert counts["estimation.pi_weights_calls"] == 1
+    if workload == "ar_long":  # the counts the traced ar_long run reports
+        assert (support, scans, hits, summary["scan_macs"]) == (2, 9, 8, 540_000)
